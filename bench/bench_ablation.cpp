@@ -4,12 +4,16 @@
 //  (b) label-coverage pruning on/off — the PLL idea behind small labels;
 //  (c) hour-bucket width of the knn tables (Section 3.2.1's tuning
 //      discussion: smaller buckets = more rows, larger buckets = fatter
-//      exp arrays; one hour is the paper's compromise).
+//      exp arrays; one hour is the paper's compromise);
+//  (d) v2v join strategy: the paper's literal Code 1 SQL (a hash join on
+//      hub, as PostgreSQL plans it) run by the SQL interpreter vs. the
+//      facade's compiled merge over the (hub, td)-ordered label arrays.
 #include <cstdio>
 
 #include "knn_bench.h"
-#include "ptldb/queries.h"
+#include "pgsql/sql_writer.h"
 #include "ptldb/tables.h"
+#include "sql/interpreter.h"
 #include "ttl/builder.h"
 
 using namespace ptldb;
@@ -130,19 +134,32 @@ int main(int argc, char** argv) {
       early[i] = RandomEarlyTime(&rng, data->tt);
       late[i] = RandomLateTime(&rng, data->tt);
     }
-    EngineDatabase* engine = (*db)->engine();
+    SqlInterpreter sql((*db)->engine());
+    const std::string ea_sql = V2vSql(V2vKind::kEarliestArrival);
+    const std::string ld_sql = V2vSql(V2vKind::kLatestDeparture);
+    const std::string sd_sql = V2vSql(V2vKind::kShortestDuration);
     for (const bool merge : {false, true}) {
       const double ea = TimeQueries(db->get(), n, [&](uint32_t i) {
-        merge ? QueryV2vEaMergePlan(engine, src[i], dst[i], early[i])
-              : QueryV2vEa(engine, src[i], dst[i], early[i]);
+        if (merge) {
+          (void)(*db)->EarliestArrival(src[i], dst[i], early[i]);
+        } else {
+          (void)sql.Execute(ea_sql, {src[i], dst[i], early[i].raw_seconds()});
+        }
       });
       const double ld = TimeQueries(db->get(), n, [&](uint32_t i) {
-        merge ? QueryV2vLdMergePlan(engine, src[i], dst[i], late[i])
-              : QueryV2vLd(engine, src[i], dst[i], late[i]);
+        if (merge) {
+          (void)(*db)->LatestDeparture(src[i], dst[i], late[i]);
+        } else {
+          (void)sql.Execute(ld_sql, {src[i], dst[i], late[i].raw_seconds()});
+        }
       });
       const double sd = TimeQueries(db->get(), n, [&](uint32_t i) {
-        merge ? QueryV2vSdMergePlan(engine, src[i], dst[i], early[i], late[i])
-              : QueryV2vSd(engine, src[i], dst[i], early[i], late[i]);
+        if (merge) {
+          (void)(*db)->ShortestDuration(src[i], dst[i], early[i], late[i]);
+        } else {
+          (void)sql.Execute(sd_sql, {src[i], dst[i], early[i].raw_seconds(),
+                                     late[i].raw_seconds()});
+        }
       });
       PrintTableRow({data->name, merge ? "merge (ordered arrays)"
                                        : "hash join (SQL-shaped)",

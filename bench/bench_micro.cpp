@@ -27,7 +27,6 @@
 #include "bench_common.h"
 #include "common/rng.h"
 #include "ptldb/ptldb.h"
-#include "ptldb/queries.h"
 #include "timetable/generator.h"
 #include "ttl/builder.h"
 #include "ttl/query.h"
@@ -125,23 +124,6 @@ void BM_V2vEaWarmCache(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_V2vEaWarmCache);
-
-void BM_V2vEaWarmCompressedLabels(benchmark::State& state) {
-  auto& f = Fixture();
-  static PtldbDatabase* cdb = [&] {
-    PtldbOptions options;
-    options.device = DeviceProfile::SataSsd();
-    options.compressed_labels = true;
-    return std::move(PtldbDatabase::Build(f.index, options)).value().release();
-  }();
-  Rng rng(2);
-  for (auto _ : state) {
-    const auto s = static_cast<StopId>(rng.NextBelow(f.tt.num_stops()));
-    const auto g = static_cast<StopId>(rng.NextBelow(f.tt.num_stops()));
-    benchmark::DoNotOptimize(cdb->EarliestArrival(s, g, f.tt.min_time()));
-  }
-}
-BENCHMARK(BM_V2vEaWarmCompressedLabels);
 
 void BM_TtlEaInMemory(benchmark::State& state) {
   auto& f = Fixture();
@@ -332,41 +314,6 @@ int RunJsonMode(const std::string& path, uint32_t concurrency) {
     }
   });
 
-  // Paired raw-vs-compressed warm v2v: a second database over the same
-  // index with the RAM-resident label tier enabled, measured on an
-  // identical query schedule right after the raw warm phase. The checker
-  // requires the compressed phase to be no slower than the raw one and the
-  // tier to actually have served (decode counters moved).
-  std::unique_ptr<PtldbDatabase> cdb;
-  timed("db_build_compressed", tt.num_stops(), [&] {
-    PtldbOptions options;
-    options.device = DeviceProfile::SataSsd();
-    options.compressed_labels = true;
-    cdb = std::move(PtldbDatabase::Build(index, options)).value();
-  });
-  constexpr uint64_t kWarmSchedule = 0xb5297a4d5dull;
-  const auto warm_pass = [&](PtldbDatabase* target) {
-    Rng wrng(kWarmSchedule);
-    for (uint32_t i = 0; i < kQueries; ++i) {
-      const auto s = static_cast<StopId>(wrng.NextBelow(tt.num_stops()));
-      const auto g = static_cast<StopId>(wrng.NextBelow(tt.num_stops()));
-      (void)target->EarliestArrival(s, g, tt.min_time());
-    }
-  };
-  // This pair compares the label TIERS, so both sides are pinned to the
-  // interpreter: the tier gate asserts the in-memory merge join beats the
-  // volcano heap path, which only means something when the raw side
-  // actually runs the volcano plan. (The executor comparison has its own
-  // paired interp/vm phases below.)
-  db->set_compiled_queries(false);
-  cdb->set_compiled_queries(false);
-  warm_pass(db.get());   // Heat the raw caches for the paired measurement.
-  warm_pass(cdb.get());  // First pass decodes everything once.
-  timed("v2v_ea_warm_raw_paired", kQueries, [&] { warm_pass(db.get()); });
-  timed("v2v_ea_warm_compressed", kQueries, [&] { warm_pass(cdb.get()); });
-  db->set_compiled_queries(true);
-  cdb->set_compiled_queries(true);
-
   // Observability overhead: warm v2v with the query log + tail sampler
   // runtime-disabled vs enabled, on the SAME database so every other
   // condition (pool contents, compiled code, device profile) is shared.
@@ -415,69 +362,47 @@ int RunJsonMode(const std::string& path, uint32_t concurrency) {
     }
   }
 
-  // Paired interpreter-vs-VM warm phases: identical per-mode schedules on
-  // the SAME database with only the executor toggled, run in alternating
-  // batches (as above) so slow drift hits both sides equally. The checker
-  // requires the compiled-VM p50 to beat the interpreter p50 by 1.2x on
-  // both query shapes. The query log is disabled for the window so the
-  // allocation probe sees the query path alone: warm compiled v2v must
-  // not touch the heap at all, kNN only for the result vector.
-  int64_t vm_v2v_allocs = -1;
-  int64_t vm_knn_allocs = -1;
-  constexpr uint32_t kVmRounds = 8;
-  constexpr uint32_t kVmBatch = 250;
-  {
-    QueryLog* qlog = db->query_log();
-    qlog->set_enabled(false);
-    const auto paired = [&](const char* interp_name, const char* vm_name,
-                            uint64_t schedule,
-                            const std::function<void(Rng&)>& one_query)
-        -> int64_t {
-      std::vector<uint64_t> ns[2];
-      Rng mode_rng[2] = {Rng(schedule), Rng(schedule)};
-      for (auto& v : ns) v.reserve(kVmRounds * kVmBatch);
-      // One batch per executor up front: heats the schedule's pages and
-      // grows the VM's thread-local arena and scratch to steady state, so
-      // the count below reflects the warm path, not first touch.
-      for (const int mode : {0, 1}) {
-        Rng heat(schedule);
-        db->set_compiled_queries(mode == 1);
-        for (uint32_t i = 0; i < kVmBatch; ++i) one_query(heat);
-      }
-      uint64_t allocs = 0;
-      for (uint32_t round = 0; round < kVmRounds; ++round) {
-        for (const int mode : {0, 1}) {
-          db->set_compiled_queries(mode == 1);
-          const uint64_t allocs0 = g_bench_thread_allocs;
-          for (uint32_t i = 0; i < kVmBatch; ++i) {
-            const auto start = Clock::now();
-            one_query(mode_rng[mode]);
-            ns[mode].push_back(static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    Clock::now() - start)
-                    .count()));
-          }
-          if (mode == 1) allocs += g_bench_thread_allocs - allocs0;
-        }
-      }
-      db->set_compiled_queries(true);
-      record.phases.push_back(PercentilePhase(interp_name, ns[0]));
-      record.phases.push_back(PercentilePhase(vm_name, ns[1]));
-      return static_cast<int64_t>(allocs);
-    };
-    vm_v2v_allocs = paired(
-        "v2v_ea_warm_interp", "v2v_ea_warm_vm", 0x5eedf00dull, [&](Rng& r) {
-          const auto s = static_cast<StopId>(r.NextBelow(tt.num_stops()));
-          const auto g = static_cast<StopId>(r.NextBelow(tt.num_stops()));
-          (void)db->EarliestArrival(s, g, tt.min_time());
-        });
-    vm_knn_allocs = paired(
-        "ea_knn_warm_interp", "ea_knn_warm_vm", 0xca11ab1eull, [&](Rng& r) {
-          const auto q = static_cast<StopId>(r.NextBelow(tt.num_stops()));
-          (void)db->EaKnn("T", q, tt.min_time(), 4);
-        });
-    qlog->set_enabled(true);
-  }
+  // Allocation probe: one warm batch per query shape on the compiled VM,
+  // each query timed individually. The query log is disabled for the
+  // window so the probe sees the query path alone: warm v2v must not touch
+  // the heap at all, kNN only for the result vector. A first batch heats
+  // the schedule's pages and grows the VM's thread-local arena and scratch
+  // to steady state, so the count reflects the warm path, not first touch.
+  constexpr uint32_t kVmQueries = 2000;
+  const auto warm_vm = [&](const char* name, uint64_t schedule,
+                           const std::function<void(Rng&)>& one_query)
+      -> int64_t {
+    Rng heat(schedule);
+    for (uint32_t i = 0; i < kVmQueries / 8; ++i) one_query(heat);
+    std::vector<uint64_t> ns;
+    ns.reserve(kVmQueries);
+    Rng rng(schedule);
+    const uint64_t allocs0 = g_bench_thread_allocs;
+    for (uint32_t i = 0; i < kVmQueries; ++i) {
+      const auto start = Clock::now();
+      one_query(rng);
+      ns.push_back(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                               start)
+              .count()));
+    }
+    const auto allocs = static_cast<int64_t>(g_bench_thread_allocs - allocs0);
+    record.phases.push_back(PercentilePhase(name, ns));
+    return allocs;
+  };
+  db->query_log()->set_enabled(false);
+  const int64_t vm_v2v_allocs =
+      warm_vm("v2v_ea_warm_vm", 0x5eedf00dull, [&](Rng& r) {
+        const auto s = static_cast<StopId>(r.NextBelow(tt.num_stops()));
+        const auto g = static_cast<StopId>(r.NextBelow(tt.num_stops()));
+        (void)db->EarliestArrival(s, g, tt.min_time());
+      });
+  const int64_t vm_knn_allocs =
+      warm_vm("ea_knn_warm_vm", 0xca11ab1eull, [&](Rng& r) {
+        const auto q = static_cast<StopId>(r.NextBelow(tt.num_stops()));
+        (void)db->EaKnn("T", q, tt.min_time(), 4);
+      });
+  db->query_log()->set_enabled(true);
 
   if (concurrency > 1) {
     // Warm throughput scaling: the same per-thread workload measured with
@@ -501,19 +426,6 @@ int RunJsonMode(const std::string& path, uint32_t concurrency) {
   }
 
   record.metrics = db->Snapshot();
-  // The label-tier numbers live in the compressed database's registry;
-  // graft them into the record (the raw database has them absent/zero).
-  const MetricsSnapshot csnap = cdb->Snapshot();
-  for (const char* name : {"ttl.labels.decodes", "ttl.labels.decoded_bytes"}) {
-    const auto it = csnap.counters.find(name);
-    if (it != csnap.counters.end()) record.metrics.counters[name] = it->second;
-  }
-  for (const char* name :
-       {"ttl.labels.bytes_resident", "ttl.labels.bytes_per_label",
-        "ttl.labels.count", "ttl.labels.raw_bytes"}) {
-    const auto it = csnap.gauges.find(name);
-    if (it != csnap.gauges.end()) record.metrics.gauges[name] = it->second;
-  }
   // Scaling expectations depend on the machine: a single-core runner can
   // never beat c1, it can only avoid collapsing. The checker reads this.
   record.metrics.gauges["bench.hardware_threads"] =
@@ -521,8 +433,7 @@ int RunJsonMode(const std::string& path, uint32_t concurrency) {
   // Allocation-probe totals across the measured warm VM batches (query
   // log off). The checker divides by the query count and enforces the
   // arena contract: v2v exactly zero, kNN at most the result vector.
-  record.metrics.gauges["bench.vm_warm_queries"] =
-      static_cast<int64_t>(kVmRounds) * kVmBatch;
+  record.metrics.gauges["bench.vm_warm_queries"] = kVmQueries;
   record.metrics.gauges["bench.vm_v2v_warm_allocs"] = vm_v2v_allocs;
   record.metrics.gauges["bench.vm_knn_warm_allocs"] = vm_knn_allocs;
   const Status s = WriteBenchJson(record, path);

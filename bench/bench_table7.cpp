@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     record.phases.push_back({data->name + ".ttl_build_parallel", par_s,
                              data->tt.num_stops(), par_s * 1e3 /
                                  std::max<uint32_t>(data->tt.num_stops(), 1)});
-    // Compressed in-memory tier: bytes per label against the 12-byte raw
+    // Label codec (ttl/label_store.h): bytes per label against the 12-byte raw
     // (hub, td, ta) triple, per city (label distributions differ, so the
     // compression ratio is a per-city statistic worth tracking).
     auto store = LabelStore::Build(data->index);

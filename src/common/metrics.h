@@ -182,12 +182,16 @@ struct LocalQueryCounters {
   uint64_t rows_emitted = 0;       ///< Rows drained from plan roots.
   uint64_t hubs_merged = 0;        ///< Common-hub groups visited in merges.
   uint64_t label_comparisons = 0;  ///< Label tuple comparisons in merges.
-  uint64_t label_decodes = 0;      ///< Compressed label buckets decoded.
+  /// Compressed label buckets decoded. No query path decodes buckets
+  /// (labels are read from heap rows), so this stays zero; it is kept
+  /// because the query log and system tables report it.
+  uint64_t label_decodes = 0;
   uint64_t label_decode_bytes = 0;  ///< Encoded bytes those decodes read.
   /// Compiled-query VM work units: one per instruction dispatch, per
   /// bucket probe and per candidate tuple examined in the fused scan
-  /// macro-ops (see engine/vm.h). Zero on every interpreter path, so a
-  /// nonzero delta proves a query really ran compiled.
+  /// macro-ops (see engine/vm.h). Zero on the SQL interpreter and the
+  /// naive kNN plans, so a nonzero delta proves a query really ran
+  /// compiled.
   uint64_t vm_steps = 0;
   /// Modeled device I/O ns charged to this thread (page transfers plus
   /// retry-backoff waits). Mirrors the StorageDevice global atomics, but

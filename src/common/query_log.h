@@ -37,7 +37,7 @@ enum class QueryPhase : uint8_t {
   kQueueWait = 0,   ///< Enqueued in the server request queue.
   kAdmission = 1,   ///< Admission control / submit bookkeeping.
   kPlan = 2,        ///< Plan construction + executor drive (non-attributed).
-  kLabelDecode = 3, ///< Decoding compressed label buckets.
+  kLabelDecode = 3, ///< Decoding compressed label buckets (unused today).
   kMerge = 4,       ///< TTL common-hub label merges.
   kBufferIo = 5,    ///< Buffer-pool miss servicing (modeled device I/O).
   kCallback = 6,    ///< Delivering the response callback.

@@ -9,16 +9,14 @@
 namespace ptldb {
 
 class EngineTable;
-class LabelStore;
 
 /// Compiled query programs: each of the paper's Codes 1-4 (v2v EA/LD/SD,
 /// kNN and one-to-many in both directions) compiles once — at
 /// PtldbDatabase::Build for the v2v family, at AddTargetSet for the
 /// bucket family — into a short register program of fused macro-ops that
 /// ptldb/compiled.cc executes against pinned pages with all scratch in a
-/// per-request bump arena (engine/arena.h). The volcano interpreter
-/// (engine/exec.h) remains the general-SQL surface and the fallback path
-/// when a program is invalid (e.g. derived tables quarantined at build).
+/// per-request bump arena (engine/arena.h). They are the facade's only
+/// executor; the volcano interpreter (engine/exec.h) runs SQL text.
 ///
 /// The ops are deliberately coarse: one instruction is one whole phase of
 /// a paper query (load a label, merge two labels, scan bucket rows for
@@ -32,8 +30,8 @@ class LabelStore;
 /// LocalQueryCounters::vm_steps — one unit per instruction dispatched,
 /// per bucket probed and per candidate tuple examined — alongside the
 /// same index_seeks / tuples_scanned / hubs_merged / label_comparisons
-/// the interpreter maintains, so EXPLAIN ANALYZE span stats still equal
-/// engine counters exactly on compiled plans.
+/// the interpreter maintains, so facade span stats equal engine counters
+/// exactly.
 enum class VmOp : uint8_t {
   kHalt = 0,       ///< End of program.
   kLoadOut,        ///< r[a] = outbound label of the query source stop.
@@ -55,9 +53,10 @@ struct VmInstr {
 /// A compiled query program plus the immutable plan constants it runs
 /// against. Plain data, trivially copyable: PtldbDatabase stores one per
 /// query type and hands out copies by value (target_sets() snapshots
-/// include them). The EngineTable / LabelStore pointers are borrowed from
-/// the owning database and stay valid for its lifetime — the same
-/// contract as the interpreter's plan nodes.
+/// include them). The EngineTable pointers are borrowed from the owning
+/// database and stay valid for its lifetime — the same contract as the
+/// interpreter's plan nodes. Compilation fails instead of producing a
+/// program with an unbound input, so every stored program is runnable.
 struct VmProgram {
   static constexpr size_t kMaxCode = 8;
 
@@ -65,10 +64,9 @@ struct VmProgram {
   uint8_t num_instrs = 0;
 
   /// Bound inputs (resolved once at compile time, never re-looked-up).
-  const EngineTable* lout = nullptr;    ///< Outbound label table (raw tier).
-  const EngineTable* lin = nullptr;     ///< Inbound label table (raw tier).
+  const EngineTable* lout = nullptr;     ///< Outbound label table.
+  const EngineTable* lin = nullptr;      ///< Inbound label table.
   const EngineTable* buckets = nullptr;  ///< EA or LD bucket table (sets).
-  const LabelStore* labels = nullptr;   ///< Compressed tier, else nullptr.
 
   /// Plan constants for the bucket family.
   Duration bucket_seconds = Duration::Zero();
@@ -80,10 +78,6 @@ struct VmProgram {
   /// answer in the Duration domain; their executor supplies
   /// Duration::Infinity() itself.
   EventTime empty_result = EventTime::Infinity();
-
-  /// False when compilation could not bind every input (e.g. a derived
-  /// table failed to build); callers fall back to the interpreter.
-  bool valid = false;
 
   void Push(VmOp op, uint8_t a = 0, uint8_t b = 0) {
     code[num_instrs++] = VmInstr{op, a, b};

@@ -21,11 +21,9 @@ namespace {
 // LocalQueryCounters), so no synchronization is needed.
 struct VmState {
   Arena arena;
-  LabelArrays out_arrays;  // Compressed-tier decode target, out label.
-  LabelArrays in_arrays;   // Compressed-tier decode target, in label.
-  RowScratch out_row;      // Raw-tier decode target, out label.
-  RowScratch in_row;       // Raw-tier decode target, in label.
-  RowScratch bucket_row;   // Probed bucket rows (reused per probe).
+  RowScratch out_row;     // Decode target, out label.
+  RowScratch in_row;      // Decode target, in label.
+  RowScratch bucket_row;  // Probed bucket rows (reused per probe).
 };
 
 VmState& ThisThreadVmState() {
@@ -33,31 +31,19 @@ VmState& ThisThreadVmState() {
   return state;
 }
 
-// Loads one stop's label row into `view`, from whichever tier the program
-// was compiled against. Returns false when the stop has no label (unknown
-// stop / missing heap row) — the empty answer, not a fault. The view
-// borrows `arrays` or `scratch`, which must outlive its use.
+// Loads one stop's lout/lin heap row into `view`. Returns false when the
+// stop has no label (unknown stop / missing heap row) — the empty answer,
+// not a fault. The view borrows `scratch`, which must outlive its use.
 Result<bool> LoadLabel(EngineDatabase* db, const VmProgram& prog,
-                       bool outbound, StopId v, LabelArrays* arrays,
-                       RowScratch* scratch, LabelRowView* view) {
-  if (prog.labels != nullptr) {
-    if (v >= prog.labels->num_stops()) return false;
-    auto decoded = DecodeCounted(
-        *prog.labels,
-        outbound ? LabelStore::Direction::kOut : LabelStore::Direction::kIn, v,
-        arrays);
-    PTLDB_RETURN_IF_ERROR(decoded.status());
-    *view = LabelRowView(*decoded);
-    return true;
-  }
+                       bool outbound, StopId v, RowScratch* scratch,
+                       LabelRowView* view) {
   const EngineTable* table = outbound ? prog.lout : prog.lin;
   auto found =
       table->GetInto(static_cast<IndexKey>(v), db->buffer_pool(), scratch);
   PTLDB_RETURN_IF_ERROR(found.status());
   if (!*found) return false;
-  // CheckLabelRow parity (label_merge.h): the three arrays are parallel
-  // by construction, so a mismatch means the row decoded from a corrupt
-  // page.
+  // The three arrays are parallel by construction, so a mismatch means
+  // the row decoded from a corrupt page.
   if (scratch->cols.size() < 4 || !scratch->cols[1].is_array ||
       !scratch->cols[2].is_array || !scratch->cols[3].is_array) {
     return Status::Corruption("label row has too few columns");
@@ -75,7 +61,7 @@ Result<bool> LoadLabel(EngineDatabase* db, const VmProgram& prog,
 // Bucket row layout (BuildTargetSetTables): 0 hub, 1 hour, 2 vs,
 // 3 condensed time (tas for EA tables, tds for LD), 4 tds_exp, 5 vs_exp,
 // 6 tas_exp. The condensed pair and the expanded triple are each
-// parallel; UnnestOp treats a mismatch as corruption and so do we.
+// parallel; a mismatch is corruption (the SQL interpreter's UNNEST agrees).
 struct BucketRowView {
   std::span<const int32_t> vs;
   std::span<const int32_t> cond;
@@ -200,12 +186,14 @@ Status ScanLdBuckets(EngineDatabase* db, const VmProgram& prog,
 
 }  // namespace
 
-VmProgram CompileV2v(EngineDatabase* db, CompiledV2vKind kind,
-                     const LabelStore* labels) {
+Result<VmProgram> CompileV2v(EngineDatabase* db, CompiledV2vKind kind) {
   VmProgram p;
-  p.labels = labels;
-  p.lout = db->FindTable(kLoutTable);
-  p.lin = db->FindTable(kLinTable);
+  auto lout = RequireTable(db, kLoutTable);
+  PTLDB_RETURN_IF_ERROR(lout.status());
+  auto lin = RequireTable(db, kLinTable);
+  PTLDB_RETURN_IF_ERROR(lin.status());
+  p.lout = *lout;
+  p.lin = *lin;
   p.empty_result = kind == CompiledV2vKind::kLd ? EventTime::NegInfinity()
                                                 : EventTime::Infinity();
   p.Push(VmOp::kLoadOut, 0);
@@ -221,27 +209,26 @@ VmProgram CompileV2v(EngineDatabase* db, CompiledV2vKind kind,
       p.Push(VmOp::kMergeSd, 0, 1);
       break;
   }
-  p.valid =
-      labels != nullptr || (p.lout != nullptr && p.lin != nullptr);
   return p;
 }
 
-VmProgram CompileSetQuery(EngineDatabase* db, bool ld,
-                          const std::string& bucket_table,
-                          Duration bucket_seconds, int32_t max_bucket,
-                          uint32_t kmax, const LabelStore* labels) {
+Result<VmProgram> CompileSetQuery(EngineDatabase* db, bool ld,
+                                  const std::string& bucket_table,
+                                  Duration bucket_seconds, int32_t max_bucket,
+                                  uint32_t kmax) {
   VmProgram p;
-  p.labels = labels;
-  p.lout = db->FindTable(kLoutTable);
-  p.buckets = db->FindTable(bucket_table);
+  auto lout = RequireTable(db, kLoutTable);
+  PTLDB_RETURN_IF_ERROR(lout.status());
+  auto buckets = RequireTable(db, bucket_table);
+  PTLDB_RETURN_IF_ERROR(buckets.status());
+  p.lout = *lout;
+  p.buckets = *buckets;
   p.bucket_seconds = bucket_seconds;
   p.max_bucket = max_bucket;
   p.kmax = kmax;
   p.Push(VmOp::kLoadOut, 0);
   p.Push(ld ? VmOp::kScanLdBuckets : VmOp::kScanEaBuckets, 0);
   p.Push(VmOp::kEmitTopK, ld ? 1 : 0);
-  p.valid =
-      p.buckets != nullptr && (labels != nullptr || p.lout != nullptr);
   return p;
 }
 
@@ -263,16 +250,14 @@ Result<VmInstr> RunV2vLoads(EngineDatabase* db, const VmProgram& prog,
     switch (instr.op) {
       case VmOp::kLoadOut: {
         auto present = LoadLabel(db, prog, /*outbound=*/true, s,
-                                 &state.out_arrays, &state.out_row,
-                                 &reg[instr.a]);
+                                 &state.out_row, &reg[instr.a]);
         PTLDB_RETURN_IF_ERROR(present.status());
         if (!*present) return VmInstr{VmOp::kHalt, 0, 0};
         break;
       }
       case VmOp::kLoadIn: {
         auto present = LoadLabel(db, prog, /*outbound=*/false, g,
-                                 &state.in_arrays, &state.in_row,
-                                 &reg[instr.a]);
+                                 &state.in_row, &reg[instr.a]);
         PTLDB_RETURN_IF_ERROR(present.status());
         if (!*present) return VmInstr{VmOp::kHalt, 0, 0};
         break;
@@ -335,7 +320,7 @@ Result<std::vector<StopTimeResult>> RunCompiledSetQuery(EngineDatabase* db,
   auto& counters = ThisThreadQueryCounters();
   LabelRowView reg[2];
   // Absent n1 label (unknown stop): the scans are skipped and kEmitTopK
-  // drains an empty aggregate — the interpreter's empty index lookup.
+  // drains an empty aggregate, like Code 3's empty n1 CTE.
   bool have_label = false;
   ArenaInt32Map agg(&state.arena);
   for (uint8_t pc = 0; pc < prog.num_instrs; ++pc) {
@@ -345,8 +330,7 @@ Result<std::vector<StopTimeResult>> RunCompiledSetQuery(EngineDatabase* db,
     switch (instr.op) {
       case VmOp::kLoadOut: {
         auto present = LoadLabel(db, prog, /*outbound=*/true, q,
-                                 &state.out_arrays, &state.out_row,
-                                 &reg[instr.a]);
+                                 &state.out_row, &reg[instr.a]);
         PTLDB_RETURN_IF_ERROR(present.status());
         have_label = *present;
         break;

@@ -9,53 +9,49 @@
 #include "engine/database.h"
 #include "engine/vm.h"
 #include "timetable/types.h"
-#include "ttl/label_store.h"
 
 namespace ptldb {
 
-/// Compilation and execution of the VM programs (engine/vm.h) behind
-/// PtldbOptions::compiled_queries. The facade compiles each query type
-/// once — the three Code 1 flavors at Build, the four bucket flavors per
-/// target set at AddTargetSet — and the entry points execute the stored
-/// program instead of constructing a volcano plan per request. All
-/// per-request scratch lives in a thread-local bump arena plus reusable
-/// RowScratch/LabelArrays buffers, so a warm VM query performs zero
-/// steady-state heap allocations (bench_micro's allocation gate pins
-/// this). An invalid program (a table that failed to build) falls back
-/// to the interpreter at the call site.
+/// Compilation and execution of the VM programs (engine/vm.h) that answer
+/// every PtldbDatabase query except the Code 2 naive baselines. The facade
+/// compiles each query type once — the three Code 1 flavors at Build, the
+/// four bucket flavors per target set at AddTargetSet — and the entry
+/// points execute the stored program. Labels are read from the lout/lin
+/// heap rows through the buffer pool. All per-request scratch lives in a
+/// thread-local bump arena plus reusable RowScratch buffers, so a warm VM
+/// query performs zero steady-state heap allocations (bench_micro's
+/// allocation gate pins this).
 
 enum class CompiledV2vKind { kEa, kLd, kSd };
 
-/// Compiles one Code 1 flavor against the database's label tier: the
-/// compressed store when `labels` is non-null, else the lout/lin heap
-/// tables. Cheap (pointer binding); call once per database build.
-VmProgram CompileV2v(EngineDatabase* db, CompiledV2vKind kind,
-                     const LabelStore* labels);
+/// Compiles one Code 1 flavor against the lout/lin heap tables. Cheap
+/// (pointer binding); call once per database build. Fails with
+/// kInvalidArgument when a label table has not been built.
+Result<VmProgram> CompileV2v(EngineDatabase* db, CompiledV2vKind kind);
 
 /// Compiles one Code 3/4 flavor against a target set's bucket table
 /// (knn_ea_<set> / otm_ea_<set> / knn_ld_<set> / otm_ld_<set>).
-/// `ld` selects the LD scan and descending emit order.
-VmProgram CompileSetQuery(EngineDatabase* db, bool ld,
-                          const std::string& bucket_table,
-                          Duration bucket_seconds, int32_t max_bucket,
-                          uint32_t kmax, const LabelStore* labels);
+/// `ld` selects the LD scan and descending emit order. Fails with
+/// kInvalidArgument when the bucket table or lout has not been built.
+Result<VmProgram> CompileSetQuery(EngineDatabase* db, bool ld,
+                                  const std::string& bucket_table,
+                                  Duration bucket_seconds, int32_t max_bucket,
+                                  uint32_t kmax);
 
 /// Executes a compiled EA or LD Code 1 program (answers are points on
-/// the service clock). `t_end` is ignored by EA, `t` by LD — same
-/// convention as the QueryV2v* interpreter entry points. Requires
-/// prog.valid.
+/// the service clock). `t_end` is ignored by EA, `t` by LD.
 Result<EventTime> RunCompiledV2v(EngineDatabase* db, const VmProgram& prog,
                                  StopId s, StopId g, EventTime t,
                                  EventTime t_end);
 
 /// Executes a compiled SD Code 1 program (the answer is a span, not a
-/// point). Requires prog.valid.
+/// point).
 Result<Duration> RunCompiledV2vSd(EngineDatabase* db, const VmProgram& prog,
                                   StopId s, StopId g, EventTime t,
                                   EventTime t_end);
 
 /// Executes a compiled Code 3/4 program. k == 0 selects the one-to-many
-/// variant (no candidate or output limit). Requires prog.valid.
+/// variant (no candidate or output limit).
 Result<std::vector<StopTimeResult>> RunCompiledSetQuery(EngineDatabase* db,
                                                         const VmProgram& prog,
                                                         StopId q, EventTime t,

@@ -10,66 +10,27 @@
 #include "common/query_log.h"
 #include "common/status.h"
 #include "common/time_util.h"
-#include "engine/value.h"
-#include "ttl/label_store.h"
 
 namespace ptldb {
 
-/// The Code 1 common-hub merge kernels, shared by three execution
-/// surfaces: the volcano merge plans in queries.cc (raw heap rows), the
-/// compressed-tier fast path (decoded buckets), and the compiled query
-/// VM (compiled.cc, rows decoded into RowScratch spans). One
-/// implementation, three representations — the differential harness pins
-/// that they answer identically.
+/// The Code 1 common-hub merge kernels behind the compiled query VM's
+/// kMergeEa/Ld/Sd ops (compiled.cc), run over lout/lin heap rows decoded
+/// into RowScratch spans.
 
 /// One stop's labels viewed as three parallel arrays sorted by
-/// (hub, td) — spans, so the same merge code runs over a fetched heap
-/// row (Value arrays), a compressed bucket decoded into a LabelArrays
-/// scratch, or raw RowScratch columns on the compiled path.
+/// (hub, td).
 struct LabelRowView {
   std::span<const int32_t> hubs;
   std::span<const int32_t> tds;
   std::span<const int32_t> tas;
 
   LabelRowView() = default;
-  explicit LabelRowView(const Row& row)
-      : hubs(row[1].AsArray()), tds(row[2].AsArray()), tas(row[3].AsArray()) {}
-  explicit LabelRowView(const LabelView& view)
-      : hubs(view.hubs), tds(view.tds), tas(view.tas) {}
   LabelRowView(std::span<const int32_t> h, std::span<const int32_t> d,
                std::span<const int32_t> a)
       : hubs(h), tds(d), tas(a) {}
 
   size_t size() const { return hubs.size(); }
 };
-
-/// Decodes stop v's resident bucket into *scratch, charging the decode to
-/// this thread's query counters (the facade flushes them into the
-/// `ttl.labels.decodes` / `ttl.labels.decoded_bytes` registry counters).
-inline Result<LabelView> DecodeCounted(const LabelStore& store,
-                                       LabelStore::Direction dir, StopId v,
-                                       LabelArrays* scratch) {
-  // Attributed to the label_decode phase of the current request record
-  // (no-op when none is installed; see common/query_log.h).
-  ScopedQueryPhase phase(QueryPhase::kLabelDecode);
-  auto& counters = ThisThreadQueryCounters();
-  ++counters.label_decodes;
-  counters.label_decode_bytes += store.bucket_bytes(dir, v).size();
-  return store.Decode(dir, v, scratch);
-}
-
-/// The three label arrays are parallel by construction; a length mismatch
-/// means the row decoded from a corrupt page.
-inline Status CheckLabelRow(const Row& row) {
-  if (row.size() < 4) {
-    return Status::Corruption("label row has too few columns");
-  }
-  const size_t n = row[1].AsArray().size();
-  if (row[2].AsArray().size() != n || row[3].AsArray().size() != n) {
-    return Status::Corruption("label row arrays have unequal lengths");
-  }
-  return Status::Ok();
-}
 
 /// First index in [lo, hi) with td >= t (group is Pareto: td ascending).
 /// Stored td columns widen into the compute tier for the comparison, so a
@@ -112,7 +73,7 @@ inline size_t LastNotAfter(const LabelRowView& v, size_t lo, size_t hi,
 /// Runs `fn(a_lo, a_hi, b_lo, b_hi)` for every hub present in both rows.
 /// Deadline checkpoint per merge step (see query_context.h): a served
 /// query with an expired deadline unwinds here with kDeadlineExceeded,
-/// exactly like the hash-join drain of the SQL-shaped Code 1 plan.
+/// like every other scan loop of a served query.
 template <typename Fn>
 Status MergeCommonHubs(const LabelRowView& a, const LabelRowView& b, Fn&& fn) {
   size_t i = 0;
@@ -139,10 +100,7 @@ Status MergeCommonHubs(const LabelRowView& a, const LabelRowView& b, Fn&& fn) {
   return Status::Ok();
 }
 
-/// The three Code 1 answers over a pair of label views. Shared by the
-/// merge-plan entry points (raw rows), the compressed-tier fast path
-/// (decoded buckets) and the compiled VM: the representation changes,
-/// the merge does not.
+/// The three Code 1 answers over a pair of label views.
 inline Result<EventTime> MergeV2vEa(const LabelRowView& outp,
                                     const LabelRowView& inp, EventTime t) {
   ScopedQueryPhase phase(QueryPhase::kMerge);

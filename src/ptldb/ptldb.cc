@@ -1,6 +1,8 @@
 #include "ptldb/ptldb.h"
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
 
 #include "common/query_context.h"
 #include "ptldb/compiled.h"
@@ -73,8 +75,6 @@ PtldbDatabase::PtldbDatabase(const PtldbOptions& options)
   ttl_decodes_ = m->counter("ttl.labels.decodes");
   ttl_decode_bytes_ = m->counter("ttl.labels.decoded_bytes");
   vm_steps_ = m->counter("exec.vm_steps");
-  compiled_queries_.store(options.compiled_queries,
-                          std::memory_order_relaxed);
   query_log_ = std::make_unique<QueryLog>(options.query_log, m);
 }
 
@@ -85,37 +85,15 @@ Result<std::unique_ptr<PtldbDatabase>> PtldbDatabase::Build(
   db->num_stops_ = index.num_stops();
   db->max_event_time_ = EventTime::FromSeconds(
       ComputeBucketRange(index, Duration::FromSeconds(1)).max_bucket);
-  if (options.compressed_labels) {
-    auto store = LabelStore::Build(index);
-    PTLDB_RETURN_IF_ERROR(store.status());
-    db->labels_ = std::move(*store);
-    // Footprint accounting for the tier (DESIGN.md "Compressed label
-    // tier"): raw_bytes is what the same tuples occupy as int32 arrays
-    // in the heap rows — 3 columns x 4 bytes per label — the baseline
-    // of the bytes/label <= 0.5x raw CI gate.
-    MetricsRegistry* m = db->db_.metrics();
-    const uint64_t resident = db->labels_->bytes_resident();
-    const uint64_t count = db->labels_->total_labels();
-    m->gauge("ttl.labels.bytes_resident")
-        ->Set(static_cast<int64_t>(resident));
-    m->gauge("ttl.labels.count")->Set(static_cast<int64_t>(count));
-    m->gauge("ttl.labels.raw_bytes")
-        ->Set(static_cast<int64_t>(count * 3 * sizeof(int32_t)));
-    // Integer gauge: rounded up, so it never understates the footprint.
-    m->gauge("ttl.labels.bytes_per_label")
-        ->Set(count == 0
-                  ? 0
-                  : static_cast<int64_t>((resident + count - 1) / count));
+  // Compile the three Code 1 programs once; the entry points only select.
+  for (const auto& [type, kind] :
+       {std::pair{QueryType::kV2vEa, CompiledV2vKind::kEa},
+        std::pair{QueryType::kV2vLd, CompiledV2vKind::kLd},
+        std::pair{QueryType::kV2vSd, CompiledV2vKind::kSd}}) {
+    auto prog = CompileV2v(&db->db_, kind);
+    PTLDB_RETURN_IF_ERROR(prog.status());
+    db->v2v_programs_[static_cast<size_t>(type)] = *prog;
   }
-  // Compile the three Code 1 programs against whichever label tier this
-  // database serves from. Done once here; the entry points only select.
-  const LabelStore* labels = db->labels_.get();
-  db->v2v_programs_[static_cast<size_t>(QueryType::kV2vEa)] =
-      CompileV2v(&db->db_, CompiledV2vKind::kEa, labels);
-  db->v2v_programs_[static_cast<size_t>(QueryType::kV2vLd)] =
-      CompileV2v(&db->db_, CompiledV2vKind::kLd, labels);
-  db->v2v_programs_[static_cast<size_t>(QueryType::kV2vSd)] =
-      CompileV2v(&db->db_, CompiledV2vKind::kSd, labels);
   return db;
 }
 
@@ -144,8 +122,12 @@ Status PtldbDatabase::AddTargetSet(const std::string& name,
   std::vector<StopId> canon = targets;
   std::sort(canon.begin(), canon.end());
   canon.erase(std::unique(canon.begin(), canon.end()), canon.end());
-  PTLDB_RETURN_IF_ERROR(BuildTargetSetTables(index, canon, kmax, name, &db_,
-                                             bucket_seconds, num_threads_));
+  // The analyzer resolves calls by bare name, so the workers' ThreadPool
+  // Submit inside BuildTargetSetTables reads as PtldbServer::Submit, whose
+  // dispatch path takes sets_mu_. The build tasks never touch the catalog.
+  const Status built = BuildTargetSetTables(  // NOLINT(lock-order)
+      index, canon, kmax, name, &db_, bucket_seconds, num_threads_);
+  PTLDB_RETURN_IF_ERROR(built);
   TargetSetInfo info;
   info.kmax = kmax;
   info.bucket_seconds = bucket_seconds;
@@ -155,20 +137,16 @@ Status PtldbDatabase::AddTargetSet(const std::string& name,
   // points select a stored program instead of building a plan per query.
   // OTM programs share the kNN scan shape with k clamped to kmax at
   // compile time and 0 at run time (no output truncation).
-  info.ea_knn_program =
-      CompileSetQuery(&db_, /*ld=*/false, KnnEaTableName(name),
-                      bucket_seconds, info.max_bucket, kmax, labels_.get());
-  info.ld_knn_program =
-      CompileSetQuery(&db_, /*ld=*/true, KnnLdTableName(name),
-                      bucket_seconds, info.max_bucket, kmax, labels_.get());
-  info.ea_otm_program =
-      CompileSetQuery(&db_, /*ld=*/false, OtmEaTableName(name),
-                      bucket_seconds, info.max_bucket, /*kmax=*/0,
-                      labels_.get());
-  info.ld_otm_program =
-      CompileSetQuery(&db_, /*ld=*/true, OtmLdTableName(name),
-                      bucket_seconds, info.max_bucket, /*kmax=*/0,
-                      labels_.get());
+  for (const auto& [prog, ld, table, prog_kmax] :
+       {std::tuple{&info.ea_knn_program, false, KnnEaTableName(name), kmax},
+        std::tuple{&info.ld_knn_program, true, KnnLdTableName(name), kmax},
+        std::tuple{&info.ea_otm_program, false, OtmEaTableName(name), 0u},
+        std::tuple{&info.ld_otm_program, true, OtmLdTableName(name), 0u}}) {
+    auto compiled = CompileSetQuery(&db_, ld, table, bucket_seconds,
+                                    info.max_bucket, prog_kmax);
+    PTLDB_RETURN_IF_ERROR(compiled.status());
+    *prog = *compiled;
+  }
   target_sets_.emplace(name, std::move(info));
   return Status::Ok();
 }
@@ -176,33 +154,19 @@ Status PtldbDatabase::AddTargetSet(const std::string& name,
 Result<EventTime> PtldbDatabase::EarliestArrival(StopId s, StopId g,
                                                  EventTime t) {
   last_degraded_.store(false, std::memory_order_relaxed);
-  return Timed(QueryType::kV2vEa, {.s = s, .g = g, .t = t},
-               [&]() -> Result<EventTime> {
-                 const VmProgram& prog =
-                     v2v_programs_[static_cast<size_t>(QueryType::kV2vEa)];
-                 if (compiled_queries_.load(std::memory_order_relaxed) &&
-                     prog.valid) {
-                   return RunCompiledV2v(&db_, prog, s, g, t,
-                                         /*t_end=*/EventTime());
-                 }
-                 return QueryV2vEa(&db_, s, g, t, labels_.get());
-               });
+  return Timed(QueryType::kV2vEa, {.s = s, .g = g, .t = t}, [&] {
+    return RunCompiledV2v(&db_, v2v_program(QueryType::kV2vEa), s, g, t,
+                          /*t_end=*/EventTime());
+  });
 }
 
 Result<EventTime> PtldbDatabase::LatestDeparture(StopId s, StopId g,
                                                  EventTime t_end) {
   last_degraded_.store(false, std::memory_order_relaxed);
-  return Timed(QueryType::kV2vLd, {.s = s, .g = g, .t_end = t_end},
-               [&]() -> Result<EventTime> {
-                 const VmProgram& prog =
-                     v2v_programs_[static_cast<size_t>(QueryType::kV2vLd)];
-                 if (compiled_queries_.load(std::memory_order_relaxed) &&
-                     prog.valid) {
-                   return RunCompiledV2v(&db_, prog, s, g, /*t=*/EventTime(),
-                                         t_end);
-                 }
-                 return QueryV2vLd(&db_, s, g, t_end, labels_.get());
-               });
+  return Timed(QueryType::kV2vLd, {.s = s, .g = g, .t_end = t_end}, [&] {
+    return RunCompiledV2v(&db_, v2v_program(QueryType::kV2vLd), s, g,
+                          /*t=*/EventTime(), t_end);
+  });
 }
 
 Result<Duration> PtldbDatabase::ShortestDuration(StopId s, StopId g,
@@ -210,14 +174,9 @@ Result<Duration> PtldbDatabase::ShortestDuration(StopId s, StopId g,
                                                  EventTime t_end) {
   last_degraded_.store(false, std::memory_order_relaxed);
   return Timed(QueryType::kV2vSd, {.s = s, .g = g, .t = t, .t_end = t_end},
-               [&]() -> Result<Duration> {
-                 const VmProgram& prog =
-                     v2v_programs_[static_cast<size_t>(QueryType::kV2vSd)];
-                 if (compiled_queries_.load(std::memory_order_relaxed) &&
-                     prog.valid) {
-                   return RunCompiledV2vSd(&db_, prog, s, g, t, t_end);
-                 }
-                 return QueryV2vSd(&db_, s, g, t, t_end, labels_.get());
+               [&] {
+                 return RunCompiledV2vSd(
+                     &db_, v2v_program(QueryType::kV2vSd), s, g, t, t_end);
                });
 }
 
@@ -269,12 +228,13 @@ Result<const PtldbDatabase::TargetSetInfo*> PtldbDatabase::ValidateSet(
 
 Result<std::vector<StopTimeResult>> PtldbDatabase::EaFallback(
     const TargetSetInfo& info, StopId q, EventTime t, uint32_t k) {
+  const VmProgram& prog = v2v_program(QueryType::kV2vEa);
   std::vector<StopTimeResult> out;
   for (const StopId v : info.targets) {
-    // The fallback is |T| v2v plans back to back — the slowest facade
+    // The fallback is |T| v2v programs back to back — the slowest facade
     // path, so it checkpoints per target on top of the per-page checks.
     PTLDB_RETURN_IF_ERROR(CheckQueryCheckpoint());
-    auto ea = QueryV2vEa(&db_, q, v, t, labels_.get());
+    auto ea = RunCompiledV2v(&db_, prog, q, v, t, /*t_end=*/EventTime());
     PTLDB_RETURN_IF_ERROR(ea.status());
     if (*ea != EventTime::Infinity()) out.push_back({v, *ea});
   }
@@ -288,10 +248,11 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::EaFallback(
 
 Result<std::vector<StopTimeResult>> PtldbDatabase::LdFallback(
     const TargetSetInfo& info, StopId q, EventTime t, uint32_t k) {
+  const VmProgram& prog = v2v_program(QueryType::kV2vLd);
   std::vector<StopTimeResult> out;
   for (const StopId v : info.targets) {
     PTLDB_RETURN_IF_ERROR(CheckQueryCheckpoint());
-    auto ld = QueryV2vLd(&db_, q, v, t, labels_.get());
+    auto ld = RunCompiledV2v(&db_, prog, q, v, /*t=*/EventTime(), t);
     PTLDB_RETURN_IF_ERROR(ld.status());
     if (*ld != EventTime::NegInfinity()) out.push_back({v, *ld});
   }
@@ -367,12 +328,7 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::EaKnn(
                [&]() -> Result<std::vector<StopTimeResult>> {
     auto info = ValidateSet(set_name, k);
     if (!info.ok()) return info.status();
-    const VmProgram& prog = (*info)->ea_knn_program;
-    auto primary =
-        compiled_queries_.load(std::memory_order_relaxed) && prog.valid
-            ? RunCompiledSetQuery(&db_, prog, q, t, k)
-            : QueryEaKnn(&db_, set_name, q, t, k, (*info)->bucket_seconds,
-                         labels_.get());
+    auto primary = RunCompiledSetQuery(&db_, (*info)->ea_knn_program, q, t, k);
     auto r = OrDegrade(std::move(primary), **info, q, t, k, /*ld=*/false);
     if (r.ok()) PatchSelfTarget(&*r, (*info)->targets, q, t, k, /*ld=*/false);
     return r;
@@ -387,12 +343,7 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::LdKnn(
                [&]() -> Result<std::vector<StopTimeResult>> {
     auto info = ValidateSet(set_name, k);
     if (!info.ok()) return info.status();
-    const VmProgram& prog = (*info)->ld_knn_program;
-    auto primary =
-        compiled_queries_.load(std::memory_order_relaxed) && prog.valid
-            ? RunCompiledSetQuery(&db_, prog, q, t, k)
-            : QueryLdKnn(&db_, set_name, q, t, k, (*info)->bucket_seconds,
-                         (*info)->max_bucket, labels_.get());
+    auto primary = RunCompiledSetQuery(&db_, (*info)->ld_knn_program, q, t, k);
     auto r = OrDegrade(std::move(primary), **info, q, t, k, /*ld=*/true);
     if (r.ok()) PatchSelfTarget(&*r, (*info)->targets, q, t, k, /*ld=*/true);
     return r;
@@ -407,7 +358,7 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::EaKnnNaive(
                [&]() -> Result<std::vector<StopTimeResult>> {
     auto info = ValidateSet(set_name, k);
     if (!info.ok()) return info.status();
-    auto r = QueryEaKnnNaive(&db_, set_name, q, t, k, labels_.get());
+    auto r = QueryEaKnnNaive(&db_, set_name, q, t, k);
     if (r.ok()) PatchSelfTarget(&*r, (*info)->targets, q, t, k, /*ld=*/false);
     return r;
   });
@@ -421,7 +372,7 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::LdKnnNaive(
                [&]() -> Result<std::vector<StopTimeResult>> {
     auto info = ValidateSet(set_name, k);
     if (!info.ok()) return info.status();
-    auto r = QueryLdKnnNaive(&db_, set_name, q, t, k, labels_.get());
+    auto r = QueryLdKnnNaive(&db_, set_name, q, t, k);
     if (r.ok()) PatchSelfTarget(&*r, (*info)->targets, q, t, k, /*ld=*/true);
     return r;
   });
@@ -435,12 +386,8 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::EaOneToMany(
                [&]() -> Result<std::vector<StopTimeResult>> {
     auto info = ValidateSet(set_name, 1);
     if (!info.ok()) return info.status();
-    const VmProgram& prog = (*info)->ea_otm_program;
     auto primary =
-        compiled_queries_.load(std::memory_order_relaxed) && prog.valid
-            ? RunCompiledSetQuery(&db_, prog, q, t, /*k=*/0)
-            : QueryEaOtm(&db_, set_name, q, t, (*info)->bucket_seconds,
-                         labels_.get());
+        RunCompiledSetQuery(&db_, (*info)->ea_otm_program, q, t, /*k=*/0);
     auto r = OrDegrade(std::move(primary), **info, q, t, /*k=*/0, /*ld=*/false);
     if (r.ok()) {
       PatchSelfTarget(&*r, (*info)->targets, q, t, /*k=*/0, /*ld=*/false);
@@ -457,12 +404,8 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::LdOneToMany(
                [&]() -> Result<std::vector<StopTimeResult>> {
     auto info = ValidateSet(set_name, 1);
     if (!info.ok()) return info.status();
-    const VmProgram& prog = (*info)->ld_otm_program;
     auto primary =
-        compiled_queries_.load(std::memory_order_relaxed) && prog.valid
-            ? RunCompiledSetQuery(&db_, prog, q, t, /*k=*/0)
-            : QueryLdOtm(&db_, set_name, q, t, (*info)->bucket_seconds,
-                         (*info)->max_bucket, labels_.get());
+        RunCompiledSetQuery(&db_, (*info)->ld_otm_program, q, t, /*k=*/0);
     auto r = OrDegrade(std::move(primary), **info, q, t, /*k=*/0, /*ld=*/true);
     if (r.ok()) {
       PatchSelfTarget(&*r, (*info)->targets, q, t, /*k=*/0, /*ld=*/true);

@@ -43,7 +43,10 @@ const char* QueryTypeName(QueryType type);
 /// header next to QueryStats.
 bool LastQueryDegradedOnThisThread();
 
-/// Options for building a PtldbDatabase.
+/// Options for building a PtldbDatabase. There is one execution path:
+/// every query except the Code 2 naive baselines runs a VM program
+/// compiled at Build/AddTargetSet (engine/vm.h, DESIGN.md §13) over the
+/// lout/lin heap rows, read through the buffer pool configured here.
 struct PtldbOptions {
   /// Simulated storage device backing the database (see DESIGN.md).
   DeviceProfile device = DeviceProfile::Hdd7200();
@@ -59,24 +62,6 @@ struct PtldbOptions {
   /// AddTargetSet (0 = one per hardware thread, 1 = serial). Purely a
   /// speed knob: the loaded tables are identical for every value.
   uint32_t num_threads = 1;
-  /// Build the RAM-resident compressed label tier (delta+varint SoA
-  /// buckets, DESIGN.md "Compressed label tier") at Build time and answer
-  /// every label scan from it: Code 1 becomes an in-memory merge join,
-  /// Codes 2-4 decode their n1 row instead of fetching it. The lout/lin
-  /// heap tables are built either way — they remain the durable tier, and
-  /// the only tier when this is false (the seed behavior). Answers are
-  /// identical in both modes; the differential harness pins it.
-  bool compressed_labels = false;
-  /// Execute the seven query types as compiled VM programs (engine/vm.h,
-  /// DESIGN.md "Compiled query programs & arena memory"): each type
-  /// compiles once — Code 1 at Build, Codes 2-4 per target set — and the
-  /// entry points run the stored program with all scratch in a
-  /// per-request bump arena instead of constructing a volcano plan per
-  /// call. Answers are identical (the differential harness pins it);
-  /// the volcano interpreter remains the general-SQL surface and the
-  /// fallback when a program fails to compile. Togglable at runtime via
-  /// set_compiled_queries() for paired benchmarking.
-  bool compiled_queries = true;
   /// Structured request history: ring capacity, tail-sampling policy and
   /// slow-query threshold (DESIGN.md §11). Always on by default — the
   /// CI overhead gate pins the cost — and togglable at runtime via
@@ -86,6 +71,8 @@ struct PtldbOptions {
 
 /// The PTLDB system of the paper: TTL labels stored in database tables plus
 /// the seven query types, executed against the embedded storage engine.
+/// Each query type runs a VM program compiled once (Code 1 at Build,
+/// Codes 3-4 per target set); SQL text runs the interpreter (src/sql).
 ///
 /// Typical use:
 ///   auto index = BuildTtlIndex(timetable);
@@ -99,7 +86,8 @@ struct PtldbOptions {
 class PtldbDatabase {
  public:
   /// Builds the lout/lin tables from a TTL index (which must include the
-  /// dummy tuples of Section 3.1 — the default of BuildTtlIndex).
+  /// dummy tuples of Section 3.1 — the default of BuildTtlIndex) and
+  /// compiles the three Code 1 programs over them.
   static Result<std::unique_ptr<PtldbDatabase>> Build(
       const TtlIndex& index, const PtldbOptions& options = {});
 
@@ -110,7 +98,8 @@ class PtldbDatabase {
   ///
   /// `targets` has set semantics: duplicate stops collapse to a single
   /// target before the tables are built, so a stop can never appear twice
-  /// in one answer.
+  /// in one answer. Also compiles the set's four kNN/OTM programs; a
+  /// compile error is returned and the set is not registered.
   Status AddTargetSet(const std::string& name, const TtlIndex& index,
                       const std::vector<StopId>& targets, uint32_t kmax,
                       Duration bucket_seconds = kHourBucket);
@@ -200,8 +189,7 @@ class PtldbDatabase {
   /// Zeroes the `ttl.*` operation counters (hubs merged, label
   /// comparisons, label decodes/bytes) the way ResetIoStats() zeroes the
   /// device, so warm/cold bench recipes and the system tables report
-  /// per-window numbers. Gauges (resident bytes, bytes/label) are
-  /// instantaneous and survive.
+  /// per-window numbers.
   void ResetLabelStats() { db_.metrics()->ResetPrefix("ttl."); }
 
   /// Installs a span tracer: every facade query opens a span named after
@@ -213,21 +201,11 @@ class PtldbDatabase {
 
   EngineDatabase* engine() { return &db_; }
   uint32_t num_stops() const { return num_stops_; }
-  /// The compressed label tier, or nullptr when compressed_labels was
-  /// false. Exposed for tests (determinism goldens over content_crc())
-  /// and benchmarks (bytes/label accounting).
-  const LabelStore* label_store() const { return labels_.get(); }
-
-  /// Runtime toggle for the compiled-program path (initialized from
-  /// PtldbOptions::compiled_queries). Off = every entry point builds the
-  /// volcano plan, exactly the pre-VM behavior; benchmarks flip this to
-  /// pair interpreter and VM phases on one database.
-  void set_compiled_queries(bool on) {
-    compiled_queries_.store(on, std::memory_order_relaxed);
-  }
-  bool compiled_queries() const {
-    return compiled_queries_.load(std::memory_order_relaxed);
-  }
+  /// Always nullptr: queries read labels from the lout/lin heap rows
+  /// only. Kept so callers that add a RAM-resident label footprint to
+  /// size_bytes() keep compiling; LabelStore remains a ttl-layer library
+  /// (ttl/label_store.h).
+  const LabelStore* label_store() const { return nullptr; }
 
   /// Metadata of a registered target set.
   struct TargetSetInfo {
@@ -235,7 +213,7 @@ class PtldbDatabase {
     uint32_t kmax = 0;
     Duration bucket_seconds = kHourBucket;
     int32_t max_bucket = 0;  ///< LD deadlines clamp to this bucket.
-    /// The target stops, kept for the degraded v2v fallback path.
+    /// The target stops, kept for the degraded per-target v2v fallback.
     std::vector<StopId> targets;
     /// Compiled programs for this set's four bucket-query flavors
     /// (engine/vm.h), bound at AddTargetSet. They differ only in the
@@ -362,7 +340,8 @@ class PtldbDatabase {
   }
 
   /// Per-target v2v answers (the always-correct baseline) used when the
-  /// optimized kNN/OTM tables fault. k == 0 means one-to-many (no limit).
+  /// optimized kNN/OTM tables fault: the stored Code 1 EA/LD program runs
+  /// once per target. k == 0 means one-to-many (no limit).
   Result<std::vector<StopTimeResult>> EaFallback(const TargetSetInfo& info,
                                                  StopId q, EventTime t,
                                                  uint32_t k);
@@ -377,19 +356,17 @@ class PtldbDatabase {
 
   EngineDatabase db_;
   StorageDevice* device_;
-  /// Compressed label tier (nullptr unless PtldbOptions::compressed_labels).
-  /// Immutable after Build, read lock-free by concurrent queries.
-  std::unique_ptr<LabelStore> labels_;
   uint32_t num_threads_ = 1;  ///< Workers for derived-table construction.
   uint32_t num_stops_ = 0;
   /// Latest event timestamp of the loaded index (LD deadline clamping).
   EventTime max_event_time_;
-  /// Runtime switch for the compiled path (see set_compiled_queries).
-  std::atomic<bool> compiled_queries_{true};
   /// The three Code 1 programs, compiled once at Build (indexed by
   /// QueryType kV2vEa/kV2vLd/kV2vSd). Immutable afterwards, read
   /// lock-free by concurrent queries.
   std::array<VmProgram, 3> v2v_programs_ = {};
+  const VmProgram& v2v_program(QueryType type) const {
+    return v2v_programs_[static_cast<size_t>(type)];
+  }
   /// Catalog latch: guards the target-set map against a concurrent
   /// AddTargetSet while queries validate set names. Held across the
   /// whole derived-table build, so registration is atomic; sets are

@@ -1,100 +1,20 @@
 #include "ptldb/queries.h"
 
-#include <algorithm>
 #include <cassert>
 #include <limits>
 
 #include "common/metrics.h"
 #include "common/query_context.h"
-#include "common/query_log.h"
 #include "engine/exec.h"
-#include "ptldb/label_merge.h"
 #include "ptldb/tables.h"
-#include "ttl/label_store.h"
 
 namespace ptldb {
 
 namespace {
 
-// Looks up a table that the query plan requires; a missing table is a
-// caller error (set never registered / labels never built), not a fault.
-Result<const EngineTable*> RequireTable(EngineDatabase* db,
-                                        const std::string& name) {
-  const EngineTable* table = db->FindTable(name);
-  if (table == nullptr) {
-    return Status::InvalidArgument("table not built: " + name);
-  }
-  return table;
-}
-
-// ---------- Code 1: vertex-to-vertex over the lout/lin array rows ----------
-
-// The LabelRowView / merge kernels formerly here now live in
-// ptldb/label_merge.h, shared with the compiled query VM (compiled.cc).
-
-// Fetches the single label row of `v`; an empty inner optional means the
-// stop is unknown.
-Result<std::optional<Row>> FetchLabelRow(EngineDatabase* db,
-                                         const char* table_name, StopId v) {
-  auto table = RequireTable(db, table_name);
-  PTLDB_RETURN_IF_ERROR(table.status());
-  auto row = (*table)->Get(static_cast<IndexKey>(v), db->buffer_pool());
-  PTLDB_RETURN_IF_ERROR(row.status());
-  if (row->has_value()) PTLDB_RETURN_IF_ERROR(CheckLabelRow(**row));
-  return row;
-}
-
-// ---------- Shared plan pieces for Codes 2-4 ----------
-
-// Leaf operator over the compressed tier: decodes stop v's bucket and
-// emits it as one row shaped exactly like a lout/lin heap row —
-// (v, hubs, tds, tas) — so the plans above it (UNNEST, joins, filters)
-// are identical for both representations. Decode failures (resident bit
-// rot) surface through status(), like a corrupt page in IndexLookupOp;
-// a stop the store does not know yields an empty stream, like a missing
-// heap row. Pure CPU: no pages are fetched, no guards held.
-class LabelSourceOp : public Operator {
- public:
-  LabelSourceOp(const LabelStore* store, LabelStore::Direction dir, StopId v)
-      : store_(store), dir_(dir), v_(v) {}
-
-  std::optional<Row> Next() override {
-    if (done_) return std::nullopt;
-    done_ = true;
-    if (v_ >= store_->num_stops()) return std::nullopt;
-    LabelArrays scratch;
-    auto view = DecodeCounted(*store_, dir_, v_, &scratch);
-    if (!view.ok()) {
-      status_ = view.status();
-      return std::nullopt;
-    }
-    return Row{Value(static_cast<int32_t>(v_)), Value(std::move(scratch.hubs)),
-               Value(std::move(scratch.tds)), Value(std::move(scratch.tas))};
-  }
-
-  Status status() const override { return status_; }
-
- private:
-  const LabelStore* store_;
-  LabelStore::Direction dir_;
-  StopId v_;
-  bool done_ = false;
-  Status status_;
-};
-
-OperatorPtr MakeLabelSource(const LabelStore* store, LabelStore::Direction dir,
-                            StopId v) {
-  return std::make_unique<LabelSourceOp>(store, dir, v);
-}
-
-// n1 of Codes 2-4: UNNEST the lout row of q into (hub, td, ta) rows,
-// sourced from the compressed tier when one is installed. The caller has
-// validated that lout exists.
-OperatorPtr MakeN1(EngineDatabase* db, StopId q, const LabelStore* labels) {
-  if (labels != nullptr) {
-    return MakeUnnest(MakeLabelSource(labels, LabelStore::Direction::kOut, q),
-                      {}, {1, 2, 3});
-  }
+// n1 of Code 2: UNNEST the lout row of q into (hub, td, ta) rows. The
+// caller has validated that lout exists.
+OperatorPtr MakeN1(EngineDatabase* db, StopId q) {
   const EngineTable* lout = db->FindTable(kLoutTable);
   assert(lout != nullptr);
   return MakeUnnest(
@@ -133,7 +53,7 @@ std::function<bool(const Row&, const Row&)> OrderByTimeDescStopAsc() {
   };
 }
 
-// GROUP BY v2 + ORDER BY + optional LIMIT tail shared by all plans.
+// GROUP BY v2 + ORDER BY + LIMIT tail of both plans.
 OperatorPtr FinishEa(OperatorPtr plan, uint32_t k) {
   plan = MakeHashAggregate(std::move(plan), 0, 1, AggFn::kMin);
   plan = MakeSort(std::move(plan), OrderByTimeAscStopAsc());
@@ -150,228 +70,9 @@ OperatorPtr FinishLd(OperatorPtr plan, uint32_t k) {
 
 }  // namespace
 
-
-namespace {
-
-// The three Code 1 flavors share one plan skeleton; `kind` picks the
-// timestamp predicates pushed below the join. The fold itself is typed
-// per flavor (EventTime for EA/LD, Duration for SD), so each entry point
-// drains the shared joined stream with its own fold.
-enum class V2vPlanKind { kEa, kLd, kSd };
-
-// UNNESTs one label row into (hub, td, ta) rows, like the CTEs of Code 1.
-// The caller has validated that `table` exists.
-OperatorPtr UnnestLabelRow(const EngineTable* table, BufferPool* pool,
-                           StopId v) {
-  return MakeUnnest(
-      MakeIndexLookup(table, static_cast<IndexKey>(v), pool), {}, {1, 2, 3});
-}
-
-// Code 1 against the compressed tier: both buckets decode into scratch
-// views and merge hub by hub — the same answer as the SQL-shaped plan
-// below (the differential harness pins the equivalence), but a pure
-// in-memory scan: no buffer-pool fetches, no hash table, no per-row
-// virtual dispatch. This is what makes warm compressed v2v strictly
-// faster than the raw path (the PTL argument, gated in bench JSON).
-//
-// `known` is false when either stop is outside the store: no label row,
-// the empty answer, matching the raw plan's empty index lookup.
-struct CompressedRows {
-  LabelArrays out_scratch;
-  LabelArrays in_scratch;
-  LabelRowView outp;
-  LabelRowView inp;
-  bool known = false;
-};
-
-Status DecodeV2vRows(const LabelStore& labels, StopId s, StopId g,
-                     CompressedRows* rows) {
-  if (s >= labels.num_stops() || g >= labels.num_stops()) return Status::Ok();
-  auto outv = DecodeCounted(labels, LabelStore::Direction::kOut, s,
-                            &rows->out_scratch);
-  PTLDB_RETURN_IF_ERROR(outv.status());
-  auto inv =
-      DecodeCounted(labels, LabelStore::Direction::kIn, g, &rows->in_scratch);
-  PTLDB_RETURN_IF_ERROR(inv.status());
-  rows->outp = LabelRowView(*outv);
-  rows->inp = LabelRowView(*inv);
-  rows->known = true;
-  return Status::Ok();
-}
-
-Result<EventTime> CompressedV2vEa(const LabelStore& labels, StopId s, StopId g,
-                                  EventTime t) {
-  CompressedRows rows;
-  PTLDB_RETURN_IF_ERROR(DecodeV2vRows(labels, s, g, &rows));
-  if (!rows.known) return EventTime::Infinity();
-  return MergeV2vEa(rows.outp, rows.inp, t);
-}
-
-Result<EventTime> CompressedV2vLd(const LabelStore& labels, StopId s, StopId g,
-                                  EventTime t_end) {
-  CompressedRows rows;
-  PTLDB_RETURN_IF_ERROR(DecodeV2vRows(labels, s, g, &rows));
-  if (!rows.known) return EventTime::NegInfinity();
-  return MergeV2vLd(rows.outp, rows.inp, t_end);
-}
-
-Result<Duration> CompressedV2vSd(const LabelStore& labels, StopId s, StopId g,
-                                 EventTime t, EventTime t_end) {
-  CompressedRows rows;
-  PTLDB_RETURN_IF_ERROR(DecodeV2vRows(labels, s, g, &rows));
-  if (!rows.known) return Duration::Infinity();
-  return MergeV2vSd(rows.outp, rows.inp, t, t_end);
-}
-
-// The SQL-shaped Code 1 plan up to (and including) the joined residual:
-// UNNEST both label rows, push the timestamp predicates below a hash
-// join on hub, then the residual outp.ta <= inp.td filter. Query bounds
-// narrow saturating ONCE at plan construction (time_types.h): the
-// filters then compare stored int32 columns against a stored bound, and
-// an out-of-horizon bound clamps to a sentinel with the same accept set.
-// Joined columns: 0 hub, 1 out_td, 2 out_ta, 3 hub, 4 in_td, 5 in_ta.
-Result<OperatorPtr> BuildV2vJoined(EngineDatabase* db, StopId s, StopId g,
-                                   EventTime t, EventTime t_end,
-                                   V2vPlanKind kind) {
-  auto lout = RequireTable(db, kLoutTable);
-  PTLDB_RETURN_IF_ERROR(lout.status());
-  auto lin = RequireTable(db, kLinTable);
-  PTLDB_RETURN_IF_ERROR(lin.status());
-  // outp: (hub, td, ta) from lout[s]; inp: (hub, td, ta) from lin[g].
-  OperatorPtr outp = UnnestLabelRow(*lout, db->buffer_pool(), s);
-  if (kind != V2vPlanKind::kLd) {
-    const StoredTime td_min = SaturatingToStoredTime(t);
-    outp = MakeFilter(std::move(outp), [td_min](const Row& r) {
-      return r[1].AsInt() >= td_min;
-    });
-  }
-  OperatorPtr inp = UnnestLabelRow(*lin, db->buffer_pool(), g);
-  if (kind != V2vPlanKind::kEa) {
-    const StoredTime ta_max = SaturatingToStoredTime(t_end);
-    inp = MakeFilter(std::move(inp), [ta_max](const Row& r) {
-      return r[2].AsInt() <= ta_max;
-    });
-  }
-  // Each residual evaluation compares one pair of label tuples at a
-  // common hub; the plan runs on this thread, so the captured per-thread
-  // counters are safe.
-  LocalQueryCounters* counters = &ThisThreadQueryCounters();
-  OperatorPtr joined = MakeHashJoin(std::move(outp), std::move(inp), 0, 0);
-  joined = MakeFilter(std::move(joined), [counters](const Row& r) {
-    ++counters->label_comparisons;
-    return r[2].AsInt() <= r[4].AsInt();
-  });
-  return joined;
-}
-
-// Drains the joined stream, folding `fold(best, row)` over every row.
-// Probe rows arrive hub-sorted (label rows are), so a hub change in the
-// join output marks the next common-hub group.
-template <typename T, typename Fold>
-Result<T> FoldV2vJoined(Operator* joined, T best, Fold&& fold) {
-  LocalQueryCounters* counters = &ThisThreadQueryCounters();
-  int32_t last_hub = 0;
-  bool any_rows = false;
-  while (auto row = joined->Next()) {
-    // Deadline checkpoint on the hub-merge drain (see query_context.h).
-    PTLDB_RETURN_IF_ERROR(CheckQueryCheckpoint());
-    const int32_t hub = (*row)[0].AsInt();
-    if (!any_rows || hub != last_hub) {
-      ++counters->hubs_merged;
-      any_rows = true;
-      last_hub = hub;
-    }
-    ++counters->rows_emitted;
-    best = fold(best, *row);
-  }
-  PTLDB_RETURN_IF_ERROR(joined->status());
-  return best;
-}
-
-}  // namespace
-
-Result<EventTime> QueryV2vEa(EngineDatabase* db, StopId s, StopId g,
-                             EventTime t, const LabelStore* labels) {
-  if (labels != nullptr) return CompressedV2vEa(*labels, s, g, t);
-  auto joined =
-      BuildV2vJoined(db, s, g, t, EventTime::Infinity(), V2vPlanKind::kEa);
-  PTLDB_RETURN_IF_ERROR(joined.status());
-  return FoldV2vJoined((*joined).get(), EventTime::Infinity(),
-                       [](EventTime best, const Row& r) {
-                         return std::min(best, FromStoredTime(r[5].AsInt()));
-                       });
-}
-
-Result<EventTime> QueryV2vLd(EngineDatabase* db, StopId s, StopId g,
-                             EventTime t_end, const LabelStore* labels) {
-  if (labels != nullptr) return CompressedV2vLd(*labels, s, g, t_end);
-  auto joined = BuildV2vJoined(db, s, g, EventTime::NegInfinity(), t_end,
-                               V2vPlanKind::kLd);
-  PTLDB_RETURN_IF_ERROR(joined.status());
-  return FoldV2vJoined((*joined).get(), EventTime::NegInfinity(),
-                       [](EventTime best, const Row& r) {
-                         return std::max(best, FromStoredTime(r[1].AsInt()));
-                       });
-}
-
-Result<Duration> QueryV2vSd(EngineDatabase* db, StopId s, StopId g,
-                            EventTime t, EventTime t_end,
-                            const LabelStore* labels) {
-  if (labels != nullptr) return CompressedV2vSd(*labels, s, g, t, t_end);
-  auto joined = BuildV2vJoined(db, s, g, t, t_end, V2vPlanKind::kSd);
-  PTLDB_RETURN_IF_ERROR(joined.status());
-  // Typed 64-bit fold: the subtraction of near-horizon stored timestamps
-  // can exceed INT32_MAX, which the old int32 fold made UB.
-  auto best = FoldV2vJoined(
-      (*joined).get(), Duration::Infinity(), [](Duration b, const Row& r) {
-        return std::min(b, FromStoredTime(r[5].AsInt()) -
-                               FromStoredTime(r[1].AsInt()));
-      });
-  PTLDB_RETURN_IF_ERROR(best.status());
-  // Matches the clamp in MergeV2vSd (label_merge.h) so both Code 1 paths
-  // saturate identically.
-  return std::min(*best, Duration::Infinity());
-}
-
-Result<EventTime> QueryV2vEaMergePlan(EngineDatabase* db, StopId s, StopId g,
-                                      EventTime t, const LabelStore* labels) {
-  if (labels != nullptr) return CompressedV2vEa(*labels, s, g, t);
-  const auto out_row = FetchLabelRow(db, kLoutTable, s);
-  PTLDB_RETURN_IF_ERROR(out_row.status());
-  const auto in_row = FetchLabelRow(db, kLinTable, g);
-  PTLDB_RETURN_IF_ERROR(in_row.status());
-  if (!*out_row || !*in_row) return EventTime::Infinity();
-  return MergeV2vEa(LabelRowView(**out_row), LabelRowView(**in_row), t);
-}
-
-Result<EventTime> QueryV2vLdMergePlan(EngineDatabase* db, StopId s, StopId g,
-                                      EventTime t_end,
-                                      const LabelStore* labels) {
-  if (labels != nullptr) return CompressedV2vLd(*labels, s, g, t_end);
-  const auto out_row = FetchLabelRow(db, kLoutTable, s);
-  PTLDB_RETURN_IF_ERROR(out_row.status());
-  const auto in_row = FetchLabelRow(db, kLinTable, g);
-  PTLDB_RETURN_IF_ERROR(in_row.status());
-  if (!*out_row || !*in_row) return EventTime::NegInfinity();
-  return MergeV2vLd(LabelRowView(**out_row), LabelRowView(**in_row), t_end);
-}
-
-Result<Duration> QueryV2vSdMergePlan(EngineDatabase* db, StopId s, StopId g,
-                                     EventTime t, EventTime t_end,
-                                     const LabelStore* labels) {
-  if (labels != nullptr) return CompressedV2vSd(*labels, s, g, t, t_end);
-  const auto out_row = FetchLabelRow(db, kLoutTable, s);
-  PTLDB_RETURN_IF_ERROR(out_row.status());
-  const auto in_row = FetchLabelRow(db, kLinTable, g);
-  PTLDB_RETURN_IF_ERROR(in_row.status());
-  if (!*out_row || !*in_row) return Duration::Infinity();
-  return MergeV2vSd(LabelRowView(**out_row), LabelRowView(**in_row), t,
-                    t_end);
-}
-
 Result<std::vector<StopTimeResult>> QueryEaKnnNaive(
     EngineDatabase* db, const std::string& set_name, StopId q, EventTime t,
-    uint32_t k, const LabelStore* labels) {
+    uint32_t k) {
   PTLDB_RETURN_IF_ERROR(RequireTable(db, kLoutTable).status());
   auto naive = RequireTable(db, NaiveKnnTableName(set_name));
   PTLDB_RETURN_IF_ERROR(naive.status());
@@ -379,7 +80,7 @@ Result<std::vector<StopTimeResult>> QueryEaKnnNaive(
 
   const StoredTime td_min = SaturatingToStoredTime(t);
   OperatorPtr n1 =
-      MakeFilter(MakeN1(db, q, labels),
+      MakeFilter(MakeN1(db, q),
                  [td_min](const Row& r) { return r[1].AsInt() >= td_min; });
   // Join every l1 with all naive rows (hub = l1.hub, td >= l1.ta).
   OperatorPtr n2 = MakeIndexRangeJoin(
@@ -397,14 +98,14 @@ Result<std::vector<StopTimeResult>> QueryEaKnnNaive(
 
 Result<std::vector<StopTimeResult>> QueryLdKnnNaive(
     EngineDatabase* db, const std::string& set_name, StopId q, EventTime t,
-    uint32_t k, const LabelStore* labels) {
+    uint32_t k) {
   PTLDB_RETURN_IF_ERROR(RequireTable(db, kLoutTable).status());
   auto naive = RequireTable(db, NaiveKnnTableName(set_name));
   PTLDB_RETURN_IF_ERROR(naive.status());
   BufferPool* pool = db->buffer_pool();
 
   OperatorPtr n2 = MakeIndexRangeJoin(
-      MakeN1(db, q, labels), *naive,
+      MakeN1(db, q), *naive,
       [](const Row& r) { return MakeCompositeKey(r[0].AsInt(), r[2].AsInt()); },
       [](const Row& r) {
         return MakeCompositeKey(r[0].AsInt(),
@@ -421,148 +122,6 @@ Result<std::vector<StopTimeResult>> QueryLdKnnNaive(
       MakeProject(std::move(feasible),
                   [](const Row& r) { return Row{r[1], r[0]}; });
   return CollectResults(FinishLd(std::move(projected), k));
-}
-
-namespace {
-
-// Shared body of Code 3 (EA kNN/OTM): k == 0 selects the OTM variant.
-Result<std::vector<StopTimeResult>> EaBucketQuery(
-    EngineDatabase* db, const std::string& table_name, StopId q, EventTime t,
-    uint32_t k, Duration bucket_seconds, const LabelStore* labels) {
-  PTLDB_RETURN_IF_ERROR(RequireTable(db, kLoutTable).status());
-  auto bucket = RequireTable(db, table_name);
-  PTLDB_RETURN_IF_ERROR(bucket.status());
-  BufferPool* pool = db->buffer_pool();
-
-  const StoredTime td_min = SaturatingToStoredTime(t);
-  OperatorPtr n1 =
-      MakeFilter(MakeN1(db, q, labels),
-                 [td_min](const Row& r) { return r[1].AsInt() >= td_min; });
-  // The bucket key of a stored ta column: scan-side bucket arithmetic
-  // stays in the stored domain (see StoredBucketOf in time_types.h).
-  OperatorPtr n1b_plan = MakeIndexJoin(
-      std::move(n1), *bucket,
-      [bucket_seconds](const Row& r) {
-        return MakeCompositeKey(r[0].AsInt(),
-                                StoredBucketOf(r[2].AsInt(), bucket_seconds));
-      },
-      pool);
-  // n1b columns: 0 hub, 1 n1_td, 2 n1_ta | 3 hub, 4 dephour, 5 vs, 6 tas,
-  // 7 tds_exp, 8 vs_exp, 9 tas_exp.
-  auto n1b = Execute(n1b_plan.get());
-  PTLDB_RETURN_IF_ERROR(n1b.status());
-
-  // Branch A: condensed top-k columns (departures after the bucket hour).
-  OperatorPtr a = MakeUnnest(MakeVectorSource(*n1b), {}, {5, 6}, k);
-  a = FinishEa(std::move(a), k);
-
-  // Branch B: expanded in-bucket tuples, still checking l1.ta <= l2.td.
-  OperatorPtr b =
-      MakeUnnest(MakeVectorSource(std::move(*n1b)), {2}, {7, 8, 9});
-  b = MakeFilter(std::move(b),
-                 [](const Row& r) { return r[0].AsInt() <= r[1].AsInt(); });
-  b = MakeProject(std::move(b), [](const Row& r) { return Row{r[2], r[3]}; });
-  b = FinishEa(std::move(b), k);
-
-  std::vector<OperatorPtr> branches;
-  branches.push_back(std::move(a));
-  branches.push_back(std::move(b));
-  return CollectResults(FinishEa(MakeConcat(std::move(branches)), k));
-}
-
-// Shared body of Code 4 (LD kNN/OTM): k == 0 selects the OTM variant.
-Result<std::vector<StopTimeResult>> LdBucketQuery(
-    EngineDatabase* db, const std::string& table_name, StopId q, EventTime t,
-    uint32_t k, Duration bucket_seconds, int32_t max_bucket,
-    const LabelStore* labels) {
-  PTLDB_RETURN_IF_ERROR(RequireTable(db, kLoutTable).status());
-  auto bucket = RequireTable(db, table_name);
-  PTLDB_RETURN_IF_ERROR(bucket.status());
-  BufferPool* pool = db->buffer_pool();
-
-  // Deadlines beyond the indexed horizon clamp to the last event bucket
-  // (SaturatingBucketOf handles arguments past the stored range).
-  const int32_t arrhour = std::min(SaturatingBucketOf(t, bucket_seconds),
-                                   max_bucket);
-  OperatorPtr n1b_plan = MakeIndexJoin(
-      MakeN1(db, q, labels), *bucket,
-      [arrhour](const Row& r) {
-        return MakeCompositeKey(r[0].AsInt(), arrhour);
-      },
-      pool);
-  // n1b columns: 0 hub, 1 n1_td, 2 n1_ta | 3 hub, 4 arrhour, 5 vs, 6 tds,
-  // 7 tds_exp, 8 vs_exp, 9 tas_exp.
-  auto n1b = Execute(n1b_plan.get());
-  PTLDB_RETURN_IF_ERROR(n1b.status());
-
-  // Branch A: condensed top-k (arrivals before the bucket hour); the label
-  // departure must still be boardable: l2.td >= l1.ta.
-  OperatorPtr a = MakeUnnest(MakeVectorSource(*n1b), {1, 2}, {6, 5}, k);
-  // Columns: 0 n1_td, 1 n1_ta, 2 td2, 3 v2.
-  a = MakeFilter(std::move(a),
-                 [](const Row& r) { return r[2].AsInt() >= r[1].AsInt(); });
-  a = MakeProject(std::move(a), [](const Row& r) { return Row{r[3], r[0]}; });
-  a = FinishLd(std::move(a), k);
-
-  // Branch B: expanded in-bucket tuples with both feasibility checks.
-  OperatorPtr b =
-      MakeUnnest(MakeVectorSource(std::move(*n1b)), {1, 2}, {7, 8, 9});
-  // Columns: 0 n1_td, 1 n1_ta, 2 td2, 3 v2, 4 ta2.
-  const StoredTime ta_max = SaturatingToStoredTime(t);
-  b = MakeFilter(std::move(b), [ta_max](const Row& r) {
-    return r[2].AsInt() >= r[1].AsInt() && r[4].AsInt() <= ta_max;
-  });
-  b = MakeProject(std::move(b), [](const Row& r) { return Row{r[3], r[0]}; });
-  b = FinishLd(std::move(b), k);
-
-  std::vector<OperatorPtr> branches;
-  branches.push_back(std::move(a));
-  branches.push_back(std::move(b));
-  return CollectResults(FinishLd(MakeConcat(std::move(branches)), k));
-}
-
-}  // namespace
-
-Result<std::vector<StopTimeResult>> QueryEaKnn(EngineDatabase* db,
-                                               const std::string& set_name,
-                                               StopId q, EventTime t,
-                                               uint32_t k,
-                                               Duration bucket_seconds,
-                                               const LabelStore* labels) {
-  if (k == 0) return Status::InvalidArgument("kNN requires k > 0");
-  return EaBucketQuery(db, KnnEaTableName(set_name), q, t, k, bucket_seconds,
-                       labels);
-}
-
-Result<std::vector<StopTimeResult>> QueryEaOtm(EngineDatabase* db,
-                                               const std::string& set_name,
-                                               StopId q, EventTime t,
-                                               Duration bucket_seconds,
-                                               const LabelStore* labels) {
-  return EaBucketQuery(db, OtmEaTableName(set_name), q, t, /*k=*/0,
-                       bucket_seconds, labels);
-}
-
-Result<std::vector<StopTimeResult>> QueryLdKnn(EngineDatabase* db,
-                                               const std::string& set_name,
-                                               StopId q, EventTime t,
-                                               uint32_t k,
-                                               Duration bucket_seconds,
-                                               int32_t max_bucket,
-                                               const LabelStore* labels) {
-  if (k == 0) return Status::InvalidArgument("kNN requires k > 0");
-  return LdBucketQuery(db, KnnLdTableName(set_name), q, t, k, bucket_seconds,
-                       max_bucket, labels);
-}
-
-Result<std::vector<StopTimeResult>> QueryLdOtm(EngineDatabase* db,
-                                               const std::string& set_name,
-                                               StopId q, EventTime t,
-                                               Duration bucket_seconds,
-                                               int32_t max_bucket,
-                                               const LabelStore* labels) {
-  return LdBucketQuery(db, OtmLdTableName(set_name), q, t, /*k=*/0,
-                       bucket_seconds, max_bucket, labels);
 }
 
 }  // namespace ptldb

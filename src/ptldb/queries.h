@@ -8,109 +8,29 @@
 #include "common/time_util.h"
 #include "engine/database.h"
 #include "timetable/types.h"
-#include "ttl/label_store.h"
 
 namespace ptldb {
 
-/// PTLDB query execution against the embedded engine. Each function is the
-/// physical-plan equivalent of one SQL query of the paper (Codes 1-4); the
-/// src/pgsql module emits the corresponding SQL text.
+/// The naive kNN baselines of Code 2, executed as volcano plans over the
+/// knn_naive_<set> table. Figure 3 compares the optimized kNN query
+/// against these. Every other facade query runs a compiled VM program
+/// (ptldb/compiled.h); the SQL interpreter runs the paper's literal SQL
+/// for all seven (src/pgsql/sql_writer.h emits the text).
 ///
-/// Every query is fallible: storage faults (kIoError) and detected
-/// corruption (kCorruption) surface as a non-OK Result instead of a wrong
-/// or partial answer. A missing table is kInvalidArgument.
-///
-/// Prefer the PtldbDatabase facade (ptldb/ptldb.h); these free functions
-/// are the building blocks and are exposed for tests and benchmarks.
-///
-/// Every query takes an optional `labels` — the RAM-resident compressed
-/// label tier (ttl/label_store.h). When non-null, label scans decode the
-/// store's delta+varint buckets instead of fetching lout/lin heap rows
-/// through the buffer pool: Code 1 runs as an in-memory merge join over
-/// the decoded views, Codes 2-4 source their n1 CTE from a decoded
-/// bucket. Answers are identical in either representation (the
-/// differential harness proves it); only the access path and the
-/// decode/IO counter mix differ. nullptr selects the raw heap tier.
-
-/// Code 1, EA variant: SELECT MIN(inp.ta) ... WHERE outp.hub = inp.hub AND
-/// outp.ta <= inp.td AND outp.td >= t. EventTime::Infinity() when empty.
-/// Executed as the SQL-shaped plan (UNNEST both label rows, hash join on
-/// hub, residual filter, aggregate) — the same work PostgreSQL does.
-Result<EventTime> QueryV2vEa(EngineDatabase* db, StopId s, StopId g,
-                             EventTime t,
-                             const LabelStore* labels = nullptr);
-
-/// Code 1, LD variant. EventTime::NegInfinity() when empty.
-Result<EventTime> QueryV2vLd(EngineDatabase* db, StopId s, StopId g,
-                             EventTime t_end,
-                             const LabelStore* labels = nullptr);
-
-/// Code 1, SD variant. Duration::Infinity() when empty.
-Result<Duration> QueryV2vSd(EngineDatabase* db, StopId s, StopId g,
-                            EventTime t, EventTime t_end,
-                            const LabelStore* labels = nullptr);
-
-/// Specialized merge-join variants of Code 1 that exploit the (hub, td)
-/// array order instead of hashing + filtering. Same answers, much less CPU
-/// — the ablation bench quantifies what a transit-aware join operator
-/// would buy a DBMS. Not used by the default facade.
-Result<EventTime> QueryV2vEaMergePlan(EngineDatabase* db, StopId s, StopId g,
-                                      EventTime t,
-                                      const LabelStore* labels = nullptr);
-Result<EventTime> QueryV2vLdMergePlan(EngineDatabase* db, StopId s, StopId g,
-                                      EventTime t_end,
-                                      const LabelStore* labels = nullptr);
-Result<Duration> QueryV2vSdMergePlan(EngineDatabase* db, StopId s, StopId g,
-                                     EventTime t, EventTime t_end,
-                                     const LabelStore* labels = nullptr);
+/// Storage faults (kIoError) and detected corruption (kCorruption)
+/// surface as a non-OK Result instead of a wrong or partial answer. A
+/// missing table is kInvalidArgument. Prefer the PtldbDatabase facade
+/// (ptldb/ptldb.h), which adds the q ∈ T "stay put" patch.
 
 /// Code 2: the naive EA-kNN query over knn_naive_<set>.
 Result<std::vector<StopTimeResult>> QueryEaKnnNaive(
     EngineDatabase* db, const std::string& set_name, StopId q, EventTime t,
-    uint32_t k, const LabelStore* labels = nullptr);
+    uint32_t k);
 
 /// The LD counterpart of Code 2 (same naive table, mirrored conditions).
 Result<std::vector<StopTimeResult>> QueryLdKnnNaive(
     EngineDatabase* db, const std::string& set_name, StopId q, EventTime t,
-    uint32_t k, const LabelStore* labels = nullptr);
-
-/// Code 3, EA-kNN branch: optimized query over knn_ea_<set>.
-/// `bucket_seconds` must match the value the set was built with.
-Result<std::vector<StopTimeResult>> QueryEaKnn(EngineDatabase* db,
-                                               const std::string& set_name,
-                                               StopId q, EventTime t,
-                                               uint32_t k,
-                                               Duration bucket_seconds,
-                                               const LabelStore* labels =
-                                                   nullptr);
-
-/// Code 3, EA-OTM branch: one-to-many over otm_ea_<set>.
-Result<std::vector<StopTimeResult>> QueryEaOtm(EngineDatabase* db,
-                                               const std::string& set_name,
-                                               StopId q, EventTime t,
-                                               Duration bucket_seconds,
-                                               const LabelStore* labels =
-                                                   nullptr);
-
-/// Code 4, LD-kNN branch over knn_ld_<set>. `max_bucket` is the last event
-/// bucket of the index (deadlines beyond it clamp to that bucket).
-Result<std::vector<StopTimeResult>> QueryLdKnn(EngineDatabase* db,
-                                               const std::string& set_name,
-                                               StopId q, EventTime t,
-                                               uint32_t k,
-                                               Duration bucket_seconds,
-                                               int32_t max_bucket,
-                                               const LabelStore* labels =
-                                                   nullptr);
-
-/// Code 4, LD-OTM branch over otm_ld_<set>.
-Result<std::vector<StopTimeResult>> QueryLdOtm(EngineDatabase* db,
-                                               const std::string& set_name,
-                                               StopId q, EventTime t,
-                                               Duration bucket_seconds,
-                                               int32_t max_bucket,
-                                               const LabelStore* labels =
-                                                   nullptr);
+    uint32_t k);
 
 }  // namespace ptldb
 

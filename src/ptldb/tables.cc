@@ -151,7 +151,7 @@ GroupRows BuildHubGroupRows(std::span<const TargetTuple> by_td, int32_t hub,
       // *condensed* list of every hour < h — the >= below is what makes
       // a td exactly on the (h+1)*bs edge condensed for h instead of
       // double-counted in h's expanded range. Queries with t exactly on
-      // an edge rely on this split: EaBucketQuery's condensed branch
+      // an edge rely on this split: Code 3's condensed branch
       // needs no ta<->td feasibility filter precisely because every
       // condensed td >= (hour+1)*bs > any expanded/queried time in hour.
       // Typed 64-bit edge: at hour == max_hour == td_max/bs the edge
@@ -226,7 +226,7 @@ GroupRows BuildHubGroupRows(std::span<const TargetTuple> by_td, int32_t hub,
       // Condensed: tuples arriving *strictly* before this hour — ta < lo,
       // so a tuple arriving exactly at h*bs stays in h's expanded range
       // [lo, hi) and is condensed only for hours > h. The strictness is
-      // load-bearing at edges: LdBucketQuery's condensed branch filters
+      // load-bearing at edges: Code 4's condensed branch filters
       // only td2 >= ta1 (not ta2 <= t), which is sound because every
       // condensed ta < hour*bs <= t for any t in this hour — an
       // inclusive sweep here would smuggle ta == lo tuples past that
@@ -282,6 +282,15 @@ GroupRows BuildHubGroupRows(std::span<const TargetTuple> by_td, int32_t hub,
 Status BuildLabelTables(const TtlIndex& index, EngineDatabase* db) {
   PTLDB_RETURN_IF_ERROR(LoadLabelTable(index.out, kLoutTable, db));
   return LoadLabelTable(index.in, kLinTable, db);
+}
+
+Result<const EngineTable*> RequireTable(EngineDatabase* db,
+                                        const std::string& name) {
+  const EngineTable* table = db->FindTable(name);
+  if (table == nullptr) {
+    return Status::InvalidArgument("table not built: " + name);
+  }
+  return table;
 }
 
 std::string NaiveKnnTableName(const std::string& s) { return "knn_naive_" + s; }

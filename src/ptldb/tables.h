@@ -23,6 +23,11 @@ inline constexpr char kLinTable[] = "lin";
 /// hubs/tds/tas array columns ordered by (hub, td), primary key v.
 Status BuildLabelTables(const TtlIndex& index, EngineDatabase* db);
 
+/// Looks up a table a query reads. A missing table is a caller error (labels
+/// or set never built), reported as kInvalidArgument, not a fault.
+Result<const EngineTable*> RequireTable(EngineDatabase* db,
+                                        const std::string& name);
+
 /// Names of the per-target-set tables ("<base>_<set>").
 std::string NaiveKnnTableName(const std::string& set_name);
 std::string KnnEaTableName(const std::string& set_name);

@@ -15,11 +15,9 @@
 
 namespace ptldb {
 
-/// Borrowed structure-of-arrays view of one stop's decoded label row —
-/// the scan interface the query layer uses for both representations:
-/// raw heap rows (spans over the Row's array columns) and compressed
-/// buckets (spans over a decode scratch buffer). Valid only while the
-/// backing storage (Row or LabelArrays scratch) is alive and unmodified.
+/// Borrowed structure-of-arrays view of one stop's decoded label bucket
+/// (spans over a LabelArrays decode scratch). Valid only while that
+/// scratch is alive and unmodified.
 struct LabelView {
   std::span<const int32_t> hubs;
   std::span<const int32_t> tds;
@@ -28,14 +26,14 @@ struct LabelView {
   size_t size() const { return hubs.size(); }
 };
 
-/// RAM-resident compressed tier for the TTL `lout`/`lin` label tables
-/// (ROADMAP item 2, after *Public Transit Labeling*). Built once from the
-/// in-memory TtlIndex at PtldbDatabase::Build time: each stop's (hub, td)
-/// -sorted tuples become one delta+varint SoA bucket (see label_codec.h)
-/// laid out back-to-back in a per-direction arena, addressed by a
-/// stop-indexed offset table. The heap-file rows stay the durable tier;
-/// this tier is an equivalent, CRC-checked, ~4-8x smaller copy that warm
-/// queries scan without touching the buffer pool.
+/// Compressed encoding of the TTL `lout`/`lin` labels, after *Public
+/// Transit Labeling*: each stop's (hub, td)-sorted tuples become one
+/// delta+varint SoA bucket (see label_codec.h) laid out back-to-back in a
+/// per-direction arena, addressed by a stop-indexed offset table — an
+/// equivalent, CRC-checked, ~0.4x-sized copy of the heap rows. A ttl-layer
+/// library, not a query tier: PtldbDatabase answers from the heap rows
+/// (DESIGN.md §12 records why). Its consumers are bench_table7's
+/// bytes/label column, the codec tests and the content_crc() golden.
 ///
 /// Immutable after Build, so concurrent readers need no locking; each
 /// reader supplies its own LabelArrays scratch to Decode into.
@@ -66,8 +64,8 @@ class LabelStore {
     return out_.arena.size() + in_.arena.size();
   }
 
-  /// Total label tuples across both directions — the denominator of the
-  /// `ttl.labels.bytes_per_label` metric.
+  /// Total label tuples across both directions — the denominator of
+  /// bench_table7's bytes/label column.
   uint64_t total_labels() const { return total_labels_; }
 
   /// CRC-32C over both arenas (out then in) — the determinism golden.

@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <thread>
 #include <utility>
@@ -145,12 +144,6 @@ TEST(FacadeConcurrencyTest, TinyPoolConcurrentQueriesMatchSerialAnswers) {
   // concurrent query constantly evicts pages other queries are scanning.
   opts.buffer_pool_shards = 4;
   opts.buffer_pool_pages = 2 * opts.buffer_pool_shards;
-  // The compressed-labels CI job points the same hammer at the immutable
-  // label arenas (concurrent lock-free decodes under TSan).
-  if (const char* env = std::getenv("PTLDB_TEST_COMPRESSED");
-      env != nullptr && *env != '\0' && *env != '0') {
-    opts.compressed_labels = true;
-  }
   auto db = PtldbDatabase::Build(*index, opts);
   ASSERT_TRUE(db.ok());
   Rng trng(99);
@@ -220,17 +213,8 @@ TEST(FacadeConcurrencyTest, TinyPoolConcurrentQueriesMatchSerialAnswers) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(errors.load(), 0u);
   EXPECT_EQ(mismatches.load(), 0u);
-  const auto snap = (*db)->Snapshot();
-  if (opts.compressed_labels) {
-    // The v2v leg decodes RAM-resident buckets instead of paging label
-    // rows, so the tiny pool may never fill; assert the tier served
-    // concurrently instead of the eviction pressure.
-    EXPECT_GT(snap.counters.at("ttl.labels.decodes"), 0u)
-        << "compressed tier never decoded under the concurrent hammer";
-  } else {
-    EXPECT_GT(snap.counters.at("bufferpool.evictions"), 0u)
-        << "pool too big: the stress never evicted";
-  }
+  EXPECT_GT((*db)->Snapshot().counters.at("bufferpool.evictions"), 0u)
+      << "pool too big: the stress never evicted";
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 #include "timetable/generator.h"
 #include "ttl/builder.h"
 
+#include "sql_oracle.h"
 #include "test_time.h"
 
 namespace ptldb {
@@ -48,25 +49,6 @@ uint32_t TestThreads() {
     return static_cast<uint32_t>(std::atoi(env));
   }
   return 2;
-}
-
-// When PTLDB_TEST_COMPRESSED is set (the CI "compressed-labels" job), the
-// whole harness runs against the RAM-resident delta+varint label tier
-// instead of the raw heap tables — every oracle check doubles as a proof
-// that the compressed representation answers identically.
-bool TestCompressed() {
-  const char* env = std::getenv("PTLDB_TEST_COMPRESSED");
-  return env != nullptr && *env != '\0' && *env != '0';
-}
-
-// PTLDB_TEST_VM selects which executor the whole harness drives: unset or
-// nonzero runs the compiled register-VM programs (the production default),
-// PTLDB_TEST_VM=0 pins the volcano interpreter so the fallback path keeps
-// its own full oracle coverage. The head-to-head VmMatchesInterpreterPath
-// test below covers both in every configuration.
-bool TestVm() {
-  const char* env = std::getenv("PTLDB_TEST_VM");
-  return env == nullptr || *env == '\0' || *env != '0';
 }
 
 struct Network {
@@ -131,25 +113,19 @@ EventTime RandomTime(Rng* rng, const Network& net) {
                                net.tt.max_time().raw_seconds()));
 }
 
-// Fresh in-memory database over `index` with one target set named "T".
-std::unique_ptr<PtldbDatabase> MakeDbWith(const TtlIndex& index,
-                                          const std::vector<StopId>& targets,
-                                          uint32_t kmax, bool compressed) {
-  PtldbOptions options;
-  options.device = DeviceProfile::Ram();
-  options.num_threads = TestThreads();
-  options.compressed_labels = compressed;
-  options.compiled_queries = TestVm();
-  auto db = PtldbDatabase::Build(index, options);
-  EXPECT_TRUE(db.ok()) << db.status().ToString();
-  EXPECT_TRUE((*db)->AddTargetSet("T", index, targets, kmax).ok());
-  return std::move(db).value();
-}
-
+// Fresh in-memory database over `index` with one target set named "t"
+// (lower case: the SQL lexer folds identifiers, so SqlOracle's literal
+// SQL names the same tables).
 std::unique_ptr<PtldbDatabase> MakeDb(const TtlIndex& index,
                                       const std::vector<StopId>& targets,
                                       uint32_t kmax) {
-  return MakeDbWith(index, targets, kmax, TestCompressed());
+  PtldbOptions options;
+  options.device = DeviceProfile::Ram();
+  options.num_threads = TestThreads();
+  auto db = PtldbDatabase::Build(index, options);
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_TRUE((*db)->AddTargetSet("t", index, targets, kmax).ok());
+  return std::move(db).value();
 }
 
 // ---------- Oracles (return a mismatch description, or nullopt) ----------
@@ -250,13 +226,13 @@ std::optional<std::string> CheckSetQuery(const Network& net,
   const std::string type_s = type;
   Result<std::vector<StopTimeResult>> got = std::vector<StopTimeResult>{};
   if (type_s == "EA-kNN") {
-    got = db->EaKnn("T", q, t, k);
+    got = db->EaKnn("t", q, t, k);
   } else if (type_s == "LD-kNN") {
-    got = db->LdKnn("T", q, t, k);
+    got = db->LdKnn("t", q, t, k);
   } else if (type_s == "EA-OTM") {
-    got = db->EaOneToMany("T", q, t);
+    got = db->EaOneToMany("t", q, t);
   } else {
-    got = db->LdOneToMany("T", q, t);
+    got = db->LdOneToMany("t", q, t);
   }
   if (!got.ok()) return "query error: " + got.status().ToString();
   const bool ea = type_s == "EA-kNN" || type_s == "EA-OTM";
@@ -365,8 +341,8 @@ TEST(DifferentialTest, AllQueryTypesMatchOraclesOnRandomNetworks) {
         // the first evaluation, then shrink with fresh databases.
         std::optional<std::string> bad;
         if (knn) {
-          auto got = std::string(type) == "EA-kNN" ? db->EaKnn("T", q, t, k)
-                                                   : db->LdKnn("T", q, t, k);
+          auto got = std::string(type) == "EA-kNN" ? db->EaKnn("t", q, t, k)
+                                                   : db->LdKnn("t", q, t, k);
           if (!got.ok()) {
             bad = "query error: " + got.status().ToString();
           } else {
@@ -405,13 +381,13 @@ TEST(DifferentialTest, NaiveKnnPlansMatchOracles) {
       const auto k = static_cast<uint32_t>(rng.NextInRange(1, kMaxK));
       const auto ea_brute = BruteEaOneToMany(net.tt, q, net.targets, t);
       const auto ld_brute = BruteLdOneToMany(net.tt, q, net.targets, t);
-      const auto ea = db->EaKnnNaive("T", q, t, k);
+      const auto ea = db->EaKnnNaive("t", q, t, k);
       ASSERT_TRUE(ea.ok());
       if (auto bad = ValidateKnn(*ea, ea_brute, k)) {
         ADD_FAILURE() << "seed=" << seed << " query=EA-kNN-naive q=" << q
                       << " t=" << t << " k=" << k << " -- " << *bad;
       }
-      const auto ld = db->LdKnnNaive("T", q, t, k);
+      const auto ld = db->LdKnnNaive("t", q, t, k);
       ASSERT_TRUE(ld.ok());
       if (auto bad = ValidateKnn(*ld, ld_brute, k)) {
         ADD_FAILURE() << "seed=" << seed << " query=LD-kNN-naive q=" << q
@@ -421,21 +397,24 @@ TEST(DifferentialTest, NaiveKnnPlansMatchOracles) {
   }
 }
 
-// Raw heap tables vs. the compressed in-memory label tier, head to head on
-// the same databases: both representations pack the exact same tuples in
-// the exact same order, so every query type must agree bit-for-bit — not
-// just up to ties. Runs regardless of PTLDB_TEST_COMPRESSED so plain CI
-// jobs cover the compressed tier too.
-TEST(DifferentialTest, CompressedLabelTierMatchesRawPath) {
+// The facade's compiled VM programs vs. the paper's literal SQL run by
+// the SQL interpreter on the same database, for all seven query types.
+// The two executors share only the storage engine — plan shape, join
+// strategy, scratch memory, aggregation and top-k all differ — so
+// bit-for-bit agreement here plus the oracle coverage above pins the
+// compiled path end to end. Set queries skip q ∈ T: the literal SQL has
+// no "stay put" row. The vm_steps counter proves the facade half really
+// ran on the VM.
+TEST(DifferentialTest, VmMatchesInterpreterPath) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const Network net = MakeNetwork(seed);
-    auto raw = MakeDbWith(net.index, net.targets, kMaxK, false);
-    auto comp = MakeDbWith(net.index, net.targets, kMaxK, true);
-    ASSERT_NE(comp->label_store(), nullptr);
-    ASSERT_EQ(raw->label_store(), nullptr);
-    Rng rng(seed * 0x9e3779b97f4a7c15ULL + 77);
+    auto db = MakeDb(net.index, net.targets, kMaxK);
+    SqlOracle sql(db.get());
+    Rng rng(seed * 0x9e3779b97f4a7c15ULL + 101);
     const EventTime lo = net.tt.min_time();
     const EventTime hi = net.tt.max_time();
+    const uint64_t steps_before =
+        db->metrics()->Snapshot().counters.at("exec.vm_steps");
     for (int trial = 0; trial < 8; ++trial) {
       StopId s = static_cast<StopId>(rng.NextBelow(net.tt.num_stops()));
       StopId g = static_cast<StopId>(rng.NextBelow(net.tt.num_stops()));
@@ -445,129 +424,51 @@ TEST(DifferentialTest, CompressedLabelTierMatchesRawPath) {
           t, TSec(rng.NextInRange(lo.raw_seconds(), hi.raw_seconds())));
       const auto k = static_cast<uint32_t>(rng.NextInRange(1, kMaxK));
 
-      const auto ea_r = raw->EarliestArrival(s, g, t);
-      const auto ea_c = comp->EarliestArrival(s, g, t);
-      ASSERT_TRUE(ea_r.ok() && ea_c.ok());
-      EXPECT_EQ(*ea_r, *ea_c) << "EA seed=" << seed << " s=" << s
+      const auto ea_v = db->EarliestArrival(s, g, t);
+      const auto ea_i = sql.EarliestArrival(s, g, t);
+      ASSERT_TRUE(ea_v.ok() && ea_i.ok());
+      EXPECT_EQ(*ea_v, *ea_i) << "EA seed=" << seed << " s=" << s
                               << " g=" << g << " t=" << t;
-      const auto ld_r = raw->LatestDeparture(s, g, t_end);
-      const auto ld_c = comp->LatestDeparture(s, g, t_end);
-      ASSERT_TRUE(ld_r.ok() && ld_c.ok());
-      EXPECT_EQ(*ld_r, *ld_c) << "LD seed=" << seed << " s=" << s
+      const auto ld_v = db->LatestDeparture(s, g, t_end);
+      const auto ld_i = sql.LatestDeparture(s, g, t_end);
+      ASSERT_TRUE(ld_v.ok() && ld_i.ok());
+      EXPECT_EQ(*ld_v, *ld_i) << "LD seed=" << seed << " s=" << s
                               << " g=" << g << " t_end=" << t_end;
-      const auto sd_r = raw->ShortestDuration(s, g, t, t_end);
-      const auto sd_c = comp->ShortestDuration(s, g, t, t_end);
-      ASSERT_TRUE(sd_r.ok() && sd_c.ok());
-      EXPECT_EQ(*sd_r, *sd_c) << "SD seed=" << seed << " s=" << s
+      const auto sd_v = db->ShortestDuration(s, g, t, t_end);
+      const auto sd_i = sql.ShortestDuration(s, g, t, t_end);
+      ASSERT_TRUE(sd_v.ok() && sd_i.ok());
+      EXPECT_EQ(*sd_v, *sd_i) << "SD seed=" << seed << " s=" << s
                               << " g=" << g << " t=" << t
                               << " t_end=" << t_end;
 
-      const auto eaknn_r = raw->EaKnn("T", s, t, k);
-      const auto eaknn_c = comp->EaKnn("T", s, t, k);
-      ASSERT_TRUE(eaknn_r.ok() && eaknn_c.ok());
-      EXPECT_EQ(*eaknn_r, *eaknn_c) << "EA-kNN seed=" << seed << " q=" << s
-                                    << " t=" << t << " k=" << k;
-      const auto ldknn_r = raw->LdKnn("T", s, t, k);
-      const auto ldknn_c = comp->LdKnn("T", s, t, k);
-      ASSERT_TRUE(ldknn_r.ok() && ldknn_c.ok());
-      EXPECT_EQ(*ldknn_r, *ldknn_c) << "LD-kNN seed=" << seed << " q=" << s
-                                    << " t=" << t << " k=" << k;
-      const auto eaotm_r = raw->EaOneToMany("T", s, t);
-      const auto eaotm_c = comp->EaOneToMany("T", s, t);
-      ASSERT_TRUE(eaotm_r.ok() && eaotm_c.ok());
-      EXPECT_EQ(*eaotm_r, *eaotm_c) << "EA-OTM seed=" << seed << " q=" << s
-                                    << " t=" << t;
-      const auto ldotm_r = raw->LdOneToMany("T", s, t);
-      const auto ldotm_c = comp->LdOneToMany("T", s, t);
-      ASSERT_TRUE(ldotm_r.ok() && ldotm_c.ok());
-      EXPECT_EQ(*ldotm_r, *ldotm_c) << "LD-OTM seed=" << seed << " q=" << s
-                                    << " t=" << t;
-    }
-    // The compressed tier actually served those queries: decode counters
-    // moved on the compressed database and stayed flat on the raw one.
-    const auto snap_c = comp->metrics()->Snapshot();
-    const auto snap_r = raw->metrics()->Snapshot();
-    EXPECT_GT(snap_c.counters.at("ttl.labels.decodes"), 0u);
-    EXPECT_EQ(snap_r.counters.at("ttl.labels.decodes"), 0u);
-  }
-}
-
-// Compiled register-VM programs vs. the volcano interpreter, head to head
-// on the same database (toggled per trial via set_compiled_queries) for
-// all seven query types on both label tiers. The two executors share the
-// merge kernels but nothing else — plan shape, scratch memory, aggregation
-// and top-k all differ — so bit-for-bit agreement here plus the oracle
-// coverage above pins the compiled path end to end. The vm_steps counter
-// proves each half really took the executor it claims: it moves on every
-// compiled query and stays flat across the interpreter half.
-TEST(DifferentialTest, VmMatchesInterpreterPath) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    const Network net = MakeNetwork(seed);
-    for (const bool compressed : {false, true}) {
-      auto db = MakeDbWith(net.index, net.targets, kMaxK, compressed);
-      Rng rng(seed * 0x9e3779b97f4a7c15ULL + 101);
-      const EventTime lo = net.tt.min_time();
-      const EventTime hi = net.tt.max_time();
-      const auto vm_steps = [&db] {
-        return db->metrics()->Snapshot().counters.at("exec.vm_steps");
-      };
-      for (int trial = 0; trial < 8; ++trial) {
-        StopId s = static_cast<StopId>(rng.NextBelow(net.tt.num_stops()));
-        StopId g = static_cast<StopId>(rng.NextBelow(net.tt.num_stops()));
-        if (g == s) g = (g + 1) % net.tt.num_stops();
-        const EventTime t = RandomTime(&rng, net);
-        const auto t_end = std::max(
-            t, TSec(rng.NextInRange(lo.raw_seconds(), hi.raw_seconds())));
-        const auto k = static_cast<uint32_t>(rng.NextInRange(1, kMaxK));
-
-        const uint64_t steps_before = vm_steps();
-        db->set_compiled_queries(true);
-        const auto ea_v = db->EarliestArrival(s, g, t);
-        const auto ld_v = db->LatestDeparture(s, g, t_end);
-        const auto sd_v = db->ShortestDuration(s, g, t, t_end);
-        const auto eaknn_v = db->EaKnn("T", s, t, k);
-        const auto ldknn_v = db->LdKnn("T", s, t, k);
-        const auto eaotm_v = db->EaOneToMany("T", s, t);
-        const auto ldotm_v = db->LdOneToMany("T", s, t);
-        const uint64_t steps_mid = vm_steps();
-        EXPECT_GT(steps_mid, steps_before)
-            << "compiled half did not execute on the VM";
-
-        db->set_compiled_queries(false);
-        const auto ea_i = db->EarliestArrival(s, g, t);
-        const auto ld_i = db->LatestDeparture(s, g, t_end);
-        const auto sd_i = db->ShortestDuration(s, g, t, t_end);
-        const auto eaknn_i = db->EaKnn("T", s, t, k);
-        const auto ldknn_i = db->LdKnn("T", s, t, k);
-        const auto eaotm_i = db->EaOneToMany("T", s, t);
-        const auto ldotm_i = db->LdOneToMany("T", s, t);
-        EXPECT_EQ(vm_steps(), steps_mid)
-            << "interpreter half touched the VM step counter";
-
-        ASSERT_TRUE(ea_v.ok() && ea_i.ok());
-        EXPECT_EQ(*ea_v, *ea_i) << "EA seed=" << seed << " s=" << s
-                                << " g=" << g << " t=" << t;
-        ASSERT_TRUE(ld_v.ok() && ld_i.ok());
-        EXPECT_EQ(*ld_v, *ld_i) << "LD seed=" << seed << " s=" << s
-                                << " g=" << g << " t_end=" << t_end;
-        ASSERT_TRUE(sd_v.ok() && sd_i.ok());
-        EXPECT_EQ(*sd_v, *sd_i) << "SD seed=" << seed << " s=" << s
-                                << " g=" << g << " t=" << t
-                                << " t_end=" << t_end;
-        ASSERT_TRUE(eaknn_v.ok() && eaknn_i.ok());
-        EXPECT_EQ(*eaknn_v, *eaknn_i) << "EA-kNN seed=" << seed << " q=" << s
-                                      << " t=" << t << " k=" << k;
-        ASSERT_TRUE(ldknn_v.ok() && ldknn_i.ok());
-        EXPECT_EQ(*ldknn_v, *ldknn_i) << "LD-kNN seed=" << seed << " q=" << s
-                                      << " t=" << t << " k=" << k;
-        ASSERT_TRUE(eaotm_v.ok() && eaotm_i.ok());
-        EXPECT_EQ(*eaotm_v, *eaotm_i) << "EA-OTM seed=" << seed << " q=" << s
-                                      << " t=" << t;
-        ASSERT_TRUE(ldotm_v.ok() && ldotm_i.ok());
-        EXPECT_EQ(*ldotm_v, *ldotm_i) << "LD-OTM seed=" << seed << " q=" << s
-                                      << " t=" << t;
+      if (std::find(net.targets.begin(), net.targets.end(), s) !=
+          net.targets.end()) {
+        continue;
       }
+      const auto eaknn_v = db->EaKnn("t", s, t, k);
+      const auto eaknn_i = sql.EaKnn("t", s, t, k);
+      ASSERT_TRUE(eaknn_v.ok() && eaknn_i.ok());
+      EXPECT_EQ(*eaknn_v, *eaknn_i) << "EA-kNN seed=" << seed << " q=" << s
+                                    << " t=" << t << " k=" << k;
+      const auto ldknn_v = db->LdKnn("t", s, t, k);
+      const auto ldknn_i = sql.LdKnn("t", s, t, k);
+      ASSERT_TRUE(ldknn_v.ok() && ldknn_i.ok());
+      EXPECT_EQ(*ldknn_v, *ldknn_i) << "LD-kNN seed=" << seed << " q=" << s
+                                    << " t=" << t << " k=" << k;
+      const auto eaotm_v = db->EaOneToMany("t", s, t);
+      const auto eaotm_i = sql.EaOneToMany("t", s, t);
+      ASSERT_TRUE(eaotm_v.ok() && eaotm_i.ok());
+      EXPECT_EQ(*eaotm_v, *eaotm_i) << "EA-OTM seed=" << seed << " q=" << s
+                                    << " t=" << t;
+      const auto ldotm_v = db->LdOneToMany("t", s, t);
+      const auto ldotm_i = sql.LdOneToMany("t", s, t);
+      ASSERT_TRUE(ldotm_v.ok() && ldotm_i.ok());
+      EXPECT_EQ(*ldotm_v, *ldotm_i) << "LD-OTM seed=" << seed << " q=" << s
+                                    << " t=" << t;
     }
+    EXPECT_GT(db->metrics()->Snapshot().counters.at("exec.vm_steps"),
+              steps_before)
+        << "facade queries did not execute on the VM";
   }
 }
 

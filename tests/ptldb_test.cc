@@ -9,7 +9,6 @@
 #include "common/rng.h"
 #include "ptldb/ptldb.h"
 #include "ptldb/service_calendar.h"
-#include "ptldb/queries.h"
 #include "ptldb/tables.h"
 #include "timetable/example_graph.h"
 #include "timetable/generator.h"
@@ -299,30 +298,6 @@ TEST_P(PtldbBucketWidthTest, AnswersIndependentOfBucketWidth) {
 INSTANTIATE_TEST_SUITE_P(Widths, PtldbBucketWidthTest,
                          testing::Values(900, 1800, 3600, 7200, 14400));
 
-// The specialized merge plan must agree with the SQL-shaped plan.
-TEST(PtldbPlanTest, MergePlanMatchesSqlShapedPlan) {
-  const Timetable tt = SmallCity(88);
-  const TtlIndex index = BuildIndex(tt);
-  auto db = BuildDb(index);
-  Rng rng(21);
-  for (int i = 0; i < 120; ++i) {
-    const auto s = static_cast<StopId>(rng.NextBelow(tt.num_stops()));
-    auto g = static_cast<StopId>(rng.NextBelow(tt.num_stops()));
-    if (g == s) g = (g + 1) % tt.num_stops();
-    const auto t = TSec(rng.NextInRange(tt.min_time().raw_seconds(),
-                                        tt.max_time().raw_seconds()));
-    const auto t_end =
-        TSec(rng.NextInRange(t.raw_seconds(), tt.max_time().raw_seconds()));
-    EngineDatabase* engine = db->engine();
-    EXPECT_EQ(*QueryV2vEa(engine, s, g, t),
-              *QueryV2vEaMergePlan(engine, s, g, t));
-    EXPECT_EQ(*QueryV2vLd(engine, s, g, t_end),
-              *QueryV2vLdMergePlan(engine, s, g, t_end));
-    EXPECT_EQ(*QueryV2vSd(engine, s, g, t, t_end),
-              *QueryV2vSdMergePlan(engine, s, g, t, t_end));
-  }
-}
-
 // A stop that is never reached (only departures, never a hub target) has
 // an empty lin row; queries against it must come back empty, not crash.
 TEST(PtldbEdgeTest, UnreachableStopHasEmptyAnswers) {
@@ -498,49 +473,46 @@ TEST(PtldbBucketBoundaryTest, ServiceTimesNearInt32MaxDoNotOverflow) {
 
   const TtlIndex index = BuildIndex(tt);
   const std::vector<StopId> targets = {a, b};
-  for (const bool compressed : {false, true}) {
-    PtldbOptions options;
-    options.device = DeviceProfile::Ram();
-    options.compressed_labels = compressed;
-    auto db_r = PtldbDatabase::Build(index, options);
-    ASSERT_TRUE(db_r.ok()) << db_r.status().ToString();
-    auto db = std::move(db_r).value();
-    ASSERT_TRUE(db->AddTargetSet("T", index, targets, 2).ok());
+  PtldbOptions options;
+  options.device = DeviceProfile::Ram();
+  auto db_r = PtldbDatabase::Build(index, options);
+  ASSERT_TRUE(db_r.ok()) << db_r.status().ToString();
+  auto db = std::move(db_r).value();
+  ASSERT_TRUE(db->AddTargetSet("T", index, targets, 2).ok());
 
-    for (const EventTime base :
-         {kTopEdge - DSec(7200), kTopEdge - DSec(3600), kTopEdge}) {
-      for (const EventTime t : {base - DSec(1), base, base + DSec(1)}) {
-        const auto ea_full = BruteEaOneToMany(tt, q, targets, t);
-        const auto ea = db->EaKnn("T", q, t, 2);
-        ASSERT_TRUE(ea.ok());
-        ExpectKnnValid(*ea, ea_full, 2, "EA near INT32_MAX");
-        const auto ea_otm = db->EaOneToMany("T", q, t);
-        ASSERT_TRUE(ea_otm.ok());
-        EXPECT_EQ(*ea_otm, ea_full) << "EA-OTM t=" << t;
-        EXPECT_EQ(*db->EarliestArrival(q, a, t), EarliestArrival(tt, q, a, t));
-        EXPECT_EQ(*db->EarliestArrival(q, b, t), EarliestArrival(tt, q, b, t));
-      }
+  for (const EventTime base :
+       {kTopEdge - DSec(7200), kTopEdge - DSec(3600), kTopEdge}) {
+    for (const EventTime t : {base - DSec(1), base, base + DSec(1)}) {
+      const auto ea_full = BruteEaOneToMany(tt, q, targets, t);
+      const auto ea = db->EaKnn("T", q, t, 2);
+      ASSERT_TRUE(ea.ok());
+      ExpectKnnValid(*ea, ea_full, 2, "EA near INT32_MAX");
+      const auto ea_otm = db->EaOneToMany("T", q, t);
+      ASSERT_TRUE(ea_otm.ok());
+      EXPECT_EQ(*ea_otm, ea_full) << "EA-OTM t=" << t;
+      EXPECT_EQ(*db->EarliestArrival(q, a, t), EarliestArrival(tt, q, a, t));
+      EXPECT_EQ(*db->EarliestArrival(q, b, t), EarliestArrival(tt, q, b, t));
     }
-    for (const EventTime base :
-         {kTopEdge - DSec(1), kTopEdge, EventTime::Infinity() - DSec(1)}) {
-      for (const EventTime t_end : {base, base + DSec(1)}) {
-        const auto ld_full = BruteLdOneToMany(tt, q, targets, t_end);
-        const auto ld = db->LdKnn("T", q, t_end, 2);
-        ASSERT_TRUE(ld.ok());
-        ExpectKnnValid(*ld, ld_full, 2, "LD near INT32_MAX");
-        const auto ld_otm = db->LdOneToMany("T", q, t_end);
-        ASSERT_TRUE(ld_otm.ok());
-        EXPECT_EQ(*ld_otm, ld_full) << "LD-OTM t_end=" << t_end;
-        EXPECT_EQ(*db->LatestDeparture(q, b, t_end),
-                  LatestDeparture(tt, q, b, t_end));
-      }
-    }
-    EXPECT_EQ(
-        *db->ShortestDuration(q, a, kTopEdge - DSec(7200),
-                              EventTime::Infinity()),
-        ShortestDuration(tt, q, a, kTopEdge - DSec(7200),
-                         EventTime::Infinity()));
   }
+  for (const EventTime base :
+       {kTopEdge - DSec(1), kTopEdge, EventTime::Infinity() - DSec(1)}) {
+    for (const EventTime t_end : {base, base + DSec(1)}) {
+      const auto ld_full = BruteLdOneToMany(tt, q, targets, t_end);
+      const auto ld = db->LdKnn("T", q, t_end, 2);
+      ASSERT_TRUE(ld.ok());
+      ExpectKnnValid(*ld, ld_full, 2, "LD near INT32_MAX");
+      const auto ld_otm = db->LdOneToMany("T", q, t_end);
+      ASSERT_TRUE(ld_otm.ok());
+      EXPECT_EQ(*ld_otm, ld_full) << "LD-OTM t_end=" << t_end;
+      EXPECT_EQ(*db->LatestDeparture(q, b, t_end),
+                LatestDeparture(tt, q, b, t_end));
+    }
+  }
+  EXPECT_EQ(
+      *db->ShortestDuration(q, a, kTopEdge - DSec(7200),
+                            EventTime::Infinity()),
+      ShortestDuration(tt, q, a, kTopEdge - DSec(7200),
+                       EventTime::Infinity()));
 }
 
 // ---------- Target-set edge cases ----------
@@ -779,7 +751,7 @@ TEST(PtldbStorageTest, WarmCacheCostsNoIo) {
 // INT32_MAX: every layer that does time arithmetic (label merge kernels,
 // the SD duration fold, bucket index math at the top of the key range)
 // must run its intermediates in 64-bit. Answers are checked against both
-// handcomputed values and the CSA/brute oracles, on both executors.
+// handcomputed values and the CSA/brute oracles.
 TEST(PtldbOverflowTest, AnswersOnTimetableNearInt32Max) {
   const EventTime base = EventTime::Infinity() - DSec(8 * 3600);
   TimetableBuilder builder;
@@ -797,45 +769,39 @@ TEST(PtldbOverflowTest, AnswersOnTimetableNearInt32Max) {
   const Timetable tt = std::move(built).value();
   const TtlIndex index = BuildIndex(tt);
 
-  for (const bool compressed : {false, true}) {
-    PtldbOptions options;
-    options.device = DeviceProfile::Ram();
-    options.compressed_labels = compressed;
-    auto db = PtldbDatabase::Build(index, options);
-    ASSERT_TRUE(db.ok()) << db.status().ToString();
-    const std::vector<StopId> targets = {1, 3};
-    ASSERT_TRUE((*db)->AddTargetSet("T", index, targets, 2).ok());
-    for (const bool compiled : {true, false}) {
-      (*db)->set_compiled_queries(compiled);
-      const auto ea = (*db)->EarliestArrival(0, 3, base);
-      ASSERT_TRUE(ea.ok());
-      EXPECT_EQ(*ea, base + DSec(600));
-      EXPECT_EQ(*ea, EarliestArrival(tt, 0, 3, base));
-      const auto ld = (*db)->LatestDeparture(0, 3, base + DSec(600));
-      ASSERT_TRUE(ld.ok());
-      EXPECT_EQ(*ld, base + DSec(100));
-      EXPECT_EQ(*ld, LatestDeparture(tt, 0, 3, base + DSec(600)));
-      const auto sd =
-          (*db)->ShortestDuration(0, 3, base, base + DSec(600));
-      ASSERT_TRUE(sd.ok());
-      EXPECT_EQ(*sd, DSec(500));
-      EXPECT_EQ(*sd, ShortestDuration(tt, 0, 3, base, base + DSec(600)));
-      // Unreachable stays the saturated sentinel, not a wrapped value.
-      const auto none = (*db)->EarliestArrival(3, 0, base);
-      ASSERT_TRUE(none.ok());
-      EXPECT_EQ(*none, EventTime::Infinity());
-      const auto knn = (*db)->EaKnn("T", 0, base, 2);
-      ASSERT_TRUE(knn.ok());
-      ExpectKnnValid(*knn, BruteEaOneToMany(tt, 0, targets, base), 2,
-                     compiled ? "EA-kNN vm" : "EA-kNN interp");
-      const auto otm = (*db)->LdOneToMany("T", 0, base + DSec(600));
-      ASSERT_TRUE(otm.ok());
-      const auto brute = BruteLdOneToMany(tt, 0, targets, base + DSec(600));
-      ASSERT_EQ(otm->size(), brute.size());
-      for (size_t i = 0; i < brute.size(); ++i) {
-        EXPECT_EQ((*otm)[i], brute[i]);
-      }
-    }
+  PtldbOptions options;
+  options.device = DeviceProfile::Ram();
+  auto db = PtldbDatabase::Build(index, options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const std::vector<StopId> targets = {1, 3};
+  ASSERT_TRUE((*db)->AddTargetSet("T", index, targets, 2).ok());
+  const auto ea = (*db)->EarliestArrival(0, 3, base);
+  ASSERT_TRUE(ea.ok());
+  EXPECT_EQ(*ea, base + DSec(600));
+  EXPECT_EQ(*ea, EarliestArrival(tt, 0, 3, base));
+  const auto ld = (*db)->LatestDeparture(0, 3, base + DSec(600));
+  ASSERT_TRUE(ld.ok());
+  EXPECT_EQ(*ld, base + DSec(100));
+  EXPECT_EQ(*ld, LatestDeparture(tt, 0, 3, base + DSec(600)));
+  const auto sd =
+      (*db)->ShortestDuration(0, 3, base, base + DSec(600));
+  ASSERT_TRUE(sd.ok());
+  EXPECT_EQ(*sd, DSec(500));
+  EXPECT_EQ(*sd, ShortestDuration(tt, 0, 3, base, base + DSec(600)));
+  // Unreachable stays the saturated sentinel, not a wrapped value.
+  const auto none = (*db)->EarliestArrival(3, 0, base);
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(*none, EventTime::Infinity());
+  const auto knn = (*db)->EaKnn("T", 0, base, 2);
+  ASSERT_TRUE(knn.ok());
+  ExpectKnnValid(*knn, BruteEaOneToMany(tt, 0, targets, base), 2,
+                 "EA-kNN");
+  const auto otm = (*db)->LdOneToMany("T", 0, base + DSec(600));
+  ASSERT_TRUE(otm.ok());
+  const auto brute = BruteLdOneToMany(tt, 0, targets, base + DSec(600));
+  ASSERT_EQ(otm->size(), brute.size());
+  for (size_t i = 0; i < brute.size(); ++i) {
+    EXPECT_EQ((*otm)[i], brute[i]);
   }
 }
 

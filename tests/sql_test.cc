@@ -412,7 +412,7 @@ TEST_F(SqlPaperQueriesTest, UnreachablePairYieldsNullNotSentinel) {
 
 TEST_F(SqlPaperQueriesTest, TableAccessIsChargedToTheDevice) {
   // The interpreter reads tables through the engine's buffer pool, so a
-  // cold-cache query must account device time just like the hand plans.
+  // cold-cache query must account device time just like the facade does.
   PtldbOptions options;
   options.device = DeviceProfile::Hdd7200();
   auto db = PtldbDatabase::Build(index_, options);
@@ -429,7 +429,7 @@ TEST_F(SqlPaperQueriesTest, TableAccessIsChargedToTheDevice) {
 
 // ---------- Golden tests: Codes 1-4 on the Figure-1 example graph ----------
 
-// Runs the literal paper SQL and the src/ptldb physical plans side by side
+// Runs the literal paper SQL and the facade's compiled programs side by side
 // on the 7-stop example, so a regression in either layer (or a drift
 // between them) is caught with hand-checkable numbers.
 class SqlExampleGoldenTest : public testing::Test {
@@ -716,11 +716,8 @@ TEST_F(SqlExampleGoldenTest, VmStepsSpanStatMatchesEngineCounter) {
   // The compiled VM publishes its step count through one
   // LocalQueryCounters field that Timed() flushes to the exec.vm_steps
   // registry counter and the facade span attaches as "vm.steps". The two
-  // views must agree exactly, and the interpreter path must attach no
-  // vm.steps stat at all — which is why the golden trace strings above
-  // (recorded on interpreter plans) need no vm.steps column.
+  // views must agree exactly.
   Counter* steps = db_->engine()->metrics()->counter("exec.vm_steps");
-  db_->set_compiled_queries(true);
   QueryTrace vm_trace;
   db_->set_trace(&vm_trace);
   const uint64_t before_vm = steps->value();
@@ -739,19 +736,6 @@ TEST_F(SqlExampleGoldenTest, VmStepsSpanStatMatchesEngineCounter) {
   EXPECT_GT(SpanStat(*ea_knn, "vm.steps"), 0u);
   EXPECT_EQ(SpanStat(*v2v, "vm.steps") + SpanStat(*ea_knn, "vm.steps"),
             vm_delta);
-
-  // Same queries on the interpreter: the counter must not move and the
-  // spans must carry no vm.steps stat (only nonzero deltas attach).
-  db_->set_compiled_queries(false);
-  QueryTrace interp_trace;
-  db_->set_trace(&interp_trace);
-  const uint64_t before_interp = steps->value();
-  ASSERT_TRUE(db_->EarliestArrival(5, 6, TSec(28800)).ok());
-  ASSERT_TRUE(db_->EaKnn("poi", 5, TSec(28800), 2).ok());
-  EXPECT_EQ(steps->value(), before_interp);
-  const QueryTrace::Span* iv2v = FindChild(interp_trace.root(), "v2v_ea");
-  ASSERT_NE(iv2v, nullptr);
-  EXPECT_EQ(SpanStat(*iv2v, "vm.steps"), 0u);
   db_->set_trace(nullptr);
 }
 
@@ -944,9 +928,12 @@ TEST(QueryLogAttributionTest, PhaseSumsEqualEngineCountersExactly) {
   const TtlIndex index = std::move(BuildTtlIndex(tt)).value();
   PtldbOptions popts;
   popts.device = DeviceProfile::SataSsd();
-  popts.compressed_labels = true;  // Exercise the label_decode phase too.
   popts.query_log.sample_every = 0;
   auto db = std::move(PtldbDatabase::Build(index, popts)).value();
+  // Cold pool: the queries page their lout/lin rows in, so the modeled
+  // device time lands in the buffer_io phase.
+  ASSERT_TRUE(db->DropCaches().ok());
+  db->ResetIoStats();
 
   Rng rng(5);
   for (int i = 0; i < 30; ++i) {
@@ -956,7 +943,7 @@ TEST(QueryLogAttributionTest, PhaseSumsEqualEngineCountersExactly) {
   }
 
   const MetricsSnapshot snap = db->Snapshot();
-  uint64_t ns_sum = 0, decode_sum = 0, cmp_sum = 0, hub_sum = 0;
+  uint64_t ns_sum = 0, io_sum = 0, decode_sum = 0, cmp_sum = 0, hub_sum = 0;
   for (size_t p = 0; p < kNumQueryPhases; ++p) {
     const std::string base =
         std::string("phase.") + QueryPhaseName(static_cast<QueryPhase>(p));
@@ -966,15 +953,17 @@ TEST(QueryLogAttributionTest, PhaseSumsEqualEngineCountersExactly) {
       const auto it = snap.counters.find(base + leaf);
       return it == snap.counters.end() ? 0 : it->second;
     };
+    io_sum += get(".io_ns");
     decode_sum += get(".label_decodes");
     cmp_sum += get(".label_comparisons");
     hub_sum += get(".hubs_merged");
   }
   EXPECT_EQ(ns_sum, snap.counters.at("querylog.latency_ns"));
+  EXPECT_EQ(io_sum, db->io_time_ns());
   EXPECT_EQ(decode_sum, snap.counters.at("ttl.labels.decodes"));
   EXPECT_EQ(cmp_sum, snap.counters.at("ttl.label_comparisons"));
   EXPECT_EQ(hub_sum, snap.counters.at("ttl.hubs_merged"));
-  EXPECT_GT(decode_sum, 0u);  // The compressed tier actually served.
+  EXPECT_GT(io_sum, 0u);  // The heap rows were actually paged in.
   EXPECT_GT(hub_sum, 0u);
 }
 

@@ -20,6 +20,7 @@
 #include "ttl/label_store.h"
 #include "ttl/serialize.h"
 
+#include "sql_oracle.h"
 #include "test_time.h"
 
 namespace ptldb {
@@ -203,7 +204,7 @@ TEST(TtlDeterminismTest, UnprunedBuildIsAlsoDeterministic) {
   BuildAllThreadCounts(tt, "unpruned", base);
 }
 
-// The compressed label tier inherits the build's determinism: the encoded
+// The label codec inherits the build's determinism: the encoded
 // arenas (delta+varint buckets, tier CRC over L_out then L_in) must be
 // byte-identical for every thread count, and pinned against goldens so a
 // codec change that silently alters the wire format is caught here. The
@@ -250,8 +251,9 @@ TEST(TtlDeterminismTest, CompressedLabelTierIsDeterministicAcrossThreads) {
 // The executor must not be a source of nondeterminism either: exhaustively
 // over every ordered stop pair of the example graph and every event
 // boundary (each departure/arrival time and one second to either side),
-// the compiled register VM and the volcano interpreter return identical
-// answers for all seven query types, on both label tiers. The build
+// the facade's compiled VM programs and the paper's literal SQL run by the
+// SQL interpreter return identical answers for all seven query types (set
+// queries only for q ∉ T, which the SQL does not special-case). The build
 // goldens above pin the index bytes; this pins that executor choice can
 // never leak into an answer served from those bytes.
 TEST(TtlDeterminismTest, ExecutorChoiceDoesNotChangeAnswers) {
@@ -275,49 +277,48 @@ TEST(TtlDeterminismTest, ExecutorChoiceDoesNotChangeAnswers) {
   std::vector<StopId> targets;
   for (StopId v = 0; v < tt.num_stops(); v += 2) targets.push_back(v);
 
-  for (const bool compressed : {false, true}) {
-    PtldbOptions options;
-    options.device = DeviceProfile::Ram();
-    options.compressed_labels = compressed;
-    auto built = PtldbDatabase::Build(*index, options);
-    ASSERT_TRUE(built.ok());
-    PtldbDatabase* db = built->get();
-    ASSERT_TRUE(db->AddTargetSet("T", *index, targets, 4).ok());
-    const EventTime t_end = tt.max_time();
-    for (StopId s = 0; s < tt.num_stops(); ++s) {
+  PtldbOptions options;
+  options.device = DeviceProfile::Ram();
+  auto built = PtldbDatabase::Build(*index, options);
+  ASSERT_TRUE(built.ok());
+  PtldbDatabase* db = built->get();
+  ASSERT_TRUE(db->AddTargetSet("t", *index, targets, 4).ok());
+  SqlOracle sql(db);
+  const EventTime t_end = tt.max_time();
+  for (StopId s = 0; s < tt.num_stops(); ++s) {
+    const bool in_t =
+        std::binary_search(targets.begin(), targets.end(), s);
+    for (const EventTime t : times) {
       for (StopId g = 0; g < tt.num_stops(); ++g) {
         if (g == s) continue;
-        for (const EventTime t : times) {
-          db->set_compiled_queries(true);
-          const auto ea_v = db->EarliestArrival(s, g, t);
-          const auto ld_v = db->LatestDeparture(s, g, t);
-          const auto sd_v = db->ShortestDuration(s, g, t, t_end);
-          const auto eaknn_v = db->EaKnn("T", s, t, 2);
-          const auto ldknn_v = db->LdKnn("T", s, t, 2);
-          const auto eaotm_v = db->EaOneToMany("T", s, t);
-          const auto ldotm_v = db->LdOneToMany("T", s, t);
-          db->set_compiled_queries(false);
-          const auto ea_i = db->EarliestArrival(s, g, t);
-          const auto ld_i = db->LatestDeparture(s, g, t);
-          const auto sd_i = db->ShortestDuration(s, g, t, t_end);
-          const auto eaknn_i = db->EaKnn("T", s, t, 2);
-          const auto ldknn_i = db->LdKnn("T", s, t, 2);
-          const auto eaotm_i = db->EaOneToMany("T", s, t);
-          const auto ldotm_i = db->LdOneToMany("T", s, t);
-          ASSERT_TRUE(ea_v.ok() && ea_i.ok() && ld_v.ok() && ld_i.ok() &&
-                      sd_v.ok() && sd_i.ok());
-          ASSERT_TRUE(eaknn_v.ok() && eaknn_i.ok() && ldknn_v.ok() &&
-                      ldknn_i.ok() && eaotm_v.ok() && eaotm_i.ok() &&
-                      ldotm_v.ok() && ldotm_i.ok());
-          EXPECT_EQ(*ea_v, *ea_i) << "EA s=" << s << " g=" << g << " t=" << t;
-          EXPECT_EQ(*ld_v, *ld_i) << "LD s=" << s << " g=" << g << " t=" << t;
-          EXPECT_EQ(*sd_v, *sd_i) << "SD s=" << s << " g=" << g << " t=" << t;
-          EXPECT_EQ(*eaknn_v, *eaknn_i) << "EA-kNN q=" << s << " t=" << t;
-          EXPECT_EQ(*ldknn_v, *ldknn_i) << "LD-kNN q=" << s << " t=" << t;
-          EXPECT_EQ(*eaotm_v, *eaotm_i) << "EA-OTM q=" << s << " t=" << t;
-          EXPECT_EQ(*ldotm_v, *ldotm_i) << "LD-OTM q=" << s << " t=" << t;
-        }
+        const auto ea_v = db->EarliestArrival(s, g, t);
+        const auto ld_v = db->LatestDeparture(s, g, t);
+        const auto sd_v = db->ShortestDuration(s, g, t, t_end);
+        const auto ea_i = sql.EarliestArrival(s, g, t);
+        const auto ld_i = sql.LatestDeparture(s, g, t);
+        const auto sd_i = sql.ShortestDuration(s, g, t, t_end);
+        ASSERT_TRUE(ea_v.ok() && ea_i.ok() && ld_v.ok() && ld_i.ok() &&
+                    sd_v.ok() && sd_i.ok());
+        EXPECT_EQ(*ea_v, *ea_i) << "EA s=" << s << " g=" << g << " t=" << t;
+        EXPECT_EQ(*ld_v, *ld_i) << "LD s=" << s << " g=" << g << " t=" << t;
+        EXPECT_EQ(*sd_v, *sd_i) << "SD s=" << s << " g=" << g << " t=" << t;
       }
+      if (in_t) continue;
+      const auto eaknn_v = db->EaKnn("t", s, t, 2);
+      const auto ldknn_v = db->LdKnn("t", s, t, 2);
+      const auto eaotm_v = db->EaOneToMany("t", s, t);
+      const auto ldotm_v = db->LdOneToMany("t", s, t);
+      const auto eaknn_i = sql.EaKnn("t", s, t, 2);
+      const auto ldknn_i = sql.LdKnn("t", s, t, 2);
+      const auto eaotm_i = sql.EaOneToMany("t", s, t);
+      const auto ldotm_i = sql.LdOneToMany("t", s, t);
+      ASSERT_TRUE(eaknn_v.ok() && eaknn_i.ok() && ldknn_v.ok() &&
+                  ldknn_i.ok() && eaotm_v.ok() && eaotm_i.ok() &&
+                  ldotm_v.ok() && ldotm_i.ok());
+      EXPECT_EQ(*eaknn_v, *eaknn_i) << "EA-kNN q=" << s << " t=" << t;
+      EXPECT_EQ(*ldknn_v, *ldknn_i) << "LD-kNN q=" << s << " t=" << t;
+      EXPECT_EQ(*eaotm_v, *eaotm_i) << "EA-OTM q=" << s << " t=" << t;
+      EXPECT_EQ(*ldotm_v, *ldotm_i) << "LD-OTM q=" << s << " t=" << t;
     }
   }
 }
