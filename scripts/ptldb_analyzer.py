@@ -17,8 +17,8 @@ that structure:
                         generator event clock and the hour-bucket edge
                         overflow were both exactly that bug).
 
-  checkpoint            Every outermost loop in the query executor, the
-                        compiled-VM scan kernels and the label-merge
+  checkpoint            Every outermost loop in the compiled-VM
+                        executor, its scan kernels and the label-merge
                         kernels must reach a QueryContext deadline
                         checkpoint (CheckQueryCheckpoint), directly or
                         through a function it calls — otherwise a served
@@ -81,10 +81,8 @@ ALLOWLIST = {
 }
 
 # Paths whose loops serve queries and therefore must reach a deadline
-# checkpoint (the executor, the VM fused scans, the merge kernels).
+# checkpoint (the VM executor and its scans, the merge kernels).
 CHECKPOINT_PATHS = [
-    "src/engine/exec.cc",
-    "src/engine/exec.h",
     "src/engine/vm.h",
     "src/ptldb/compiled.cc",
     "src/ptldb/label_merge.h",
@@ -135,7 +133,7 @@ cannot express (suppress one line with `// NOLINT` / `// NOLINT(<check>)`):
                    compute-tier seconds, and 32-bit time-named accumulators
                    (the int32 event-clock overflow bug class).
 
-  checkpoint       an outermost loop in the executor / VM scans / merge
+  checkpoint       an outermost loop in the VM executor / scans / merge
                    kernels that can never reach CheckQueryCheckpoint()
                    and does not carry an `// analyzer: bounded(<why>)`
                    annotation.

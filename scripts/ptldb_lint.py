@@ -29,7 +29,8 @@ Rules (suppress one occurrence with `// NOLINT` or `// NOLINT(<rule>)`):
                        not.
 
   unbounded-wait       An unbounded blocking wait on the serving request
-                       path (src/server/, src/engine/exec*): CondVar::Wait
+                       path (src/server/, src/engine/vm.h,
+                       src/ptldb/compiled.*): CondVar::Wait
                        or ThreadPool::Wait with no timeout, or a
                        std::future/promise (whose .get()/.wait() block
                        forever). A worker parked on an unbounded wait can
@@ -102,7 +103,8 @@ DETERMINISTIC_PATHS = ["src/ttl/", "src/timetable/generator"]
 
 # Paths on the serving request path, where every blocking wait must be
 # bounded (see the unbounded-wait rule).
-REQUEST_WAIT_PATHS = ["src/server/", "src/engine/exec"]
+REQUEST_WAIT_PATHS = ["src/server/", "src/engine/vm.h",
+                      "src/ptldb/compiled."]
 
 # The compiled-VM hot path, where all scratch must come from the arena
 # (see the vm-hot-path-alloc rule). arena.h itself is the sanctioned

@@ -10,7 +10,7 @@
 namespace ptldb {
 
 namespace internal {
-thread_local RequestRecorder* g_current_recorder = nullptr;
+constinit thread_local RequestRecorder* g_current_recorder = nullptr;
 }  // namespace internal
 
 namespace {

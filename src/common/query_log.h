@@ -251,7 +251,10 @@ class RequestRecorder;
 namespace internal {
 /// The calling thread's active recorder, if any. Declared here so the
 /// inactive-path cost of ScopedQueryPhase is one thread-local load.
-extern thread_local RequestRecorder* g_current_recorder;
+/// constinit in both declarations tells every includer the variable needs
+/// no dynamic TLS initializer, so reads go straight to the slot instead
+/// of through GCC's TLS init wrapper (which UBSan flags as a null load).
+extern constinit thread_local RequestRecorder* g_current_recorder;
 }  // namespace internal
 
 /// Stack-scoped builder of one QueryLogRecord, installed in a thread-local

@@ -15,23 +15,25 @@ class EngineTable;
 /// PtldbDatabase::Build for the v2v family, at AddTargetSet for the
 /// bucket family — into a short register program of fused macro-ops that
 /// ptldb/compiled.cc executes against pinned pages with all scratch in a
-/// per-request bump arena (engine/arena.h). They are the facade's only
-/// executor; the volcano interpreter (engine/exec.h) runs SQL text.
+/// per-request bump arena (engine/arena.h). The Code 2 naive kNN
+/// baselines compile per call into the same program shape. Programs are
+/// the facade's only executor; the SQL interpreter (sql/interpreter.h)
+/// runs SQL text.
 ///
 /// The ops are deliberately coarse: one instruction is one whole phase of
-/// a paper query (load a label, merge two labels, scan bucket rows for
-/// one n1 label, drain a top-k aggregate). Fine-grained per-row bytecode
-/// would just re-create the interpreter's dispatch cost; the win here is
-/// that inside each macro-op the loop is monomorphic, allocation-free and
-/// checkpointed, while the program layer keeps query *selection* a data
-/// lookup instead of a code path.
+/// a paper query (load a label, merge two labels, scan bucket or naive
+/// rows for one n1 label, drain a top-k aggregate). Fine-grained per-row
+/// bytecode would just re-create the interpreter's dispatch cost; the win
+/// here is that inside each macro-op the loop is monomorphic,
+/// allocation-free and checkpointed, while the program layer keeps query
+/// *selection* a data lookup instead of a code path.
 ///
 /// Instrumentation: executing a program bumps
 /// LocalQueryCounters::vm_steps — one unit per instruction dispatched,
-/// per bucket probed and per candidate tuple examined — alongside the
-/// same index_seeks / tuples_scanned / hubs_merged / label_comparisons
-/// the interpreter maintains, so facade span stats equal engine counters
-/// exactly.
+/// per bucket probed or naive row read, and per candidate tuple examined
+/// — alongside the same index_seeks / tuples_scanned / hubs_merged /
+/// label_comparisons the interpreter maintains, so facade span stats
+/// equal engine counters exactly.
 enum class VmOp : uint8_t {
   kHalt = 0,       ///< End of program.
   kLoadOut,        ///< r[a] = outbound label of the query source stop.
@@ -41,6 +43,8 @@ enum class VmOp : uint8_t {
   kMergeSd,        ///< result = SD common-hub merge of r[a], r[b].
   kScanEaBuckets,  ///< Fused Code-3 scan: r[a] n1 label x EA bucket rows.
   kScanLdBuckets,  ///< Fused Code-4 scan: r[a] n1 label x LD bucket rows.
+  kScanEaNaive,    ///< Code-2 scan: r[a] n1 label x knn_naive range, EA.
+  kScanLdNaive,    ///< Code-2 scan: r[a] n1 label x knn_naive range, LD.
   kEmitTopK,       ///< Drain aggregate, sort (a: 0=time asc, 1=desc), cut k.
 };
 
@@ -66,7 +70,9 @@ struct VmProgram {
   /// Bound inputs (resolved once at compile time, never re-looked-up).
   const EngineTable* lout = nullptr;     ///< Outbound label table.
   const EngineTable* lin = nullptr;      ///< Inbound label table.
-  const EngineTable* buckets = nullptr;  ///< EA or LD bucket table (sets).
+  /// The set table the scan op reads: a knn_/otm_ bucket table, or
+  /// knn_naive_<set> for the Code 2 programs.
+  const EngineTable* buckets = nullptr;
 
   /// Plan constants for the bucket family.
   Duration bucket_seconds = Duration::Zero();

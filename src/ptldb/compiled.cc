@@ -1,6 +1,7 @@
 #include "ptldb/compiled.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/metrics.h"
 #include "common/query_context.h"
@@ -23,7 +24,7 @@ struct VmState {
   Arena arena;
   RowScratch out_row;     // Decode target, out label.
   RowScratch in_row;      // Decode target, in label.
-  RowScratch bucket_row;  // Probed bucket rows (reused per probe).
+  RowScratch bucket_row;  // Probed bucket / naive rows (reused per row).
 };
 
 VmState& ThisThreadVmState() {
@@ -184,6 +185,59 @@ Status ScanLdBuckets(EngineDatabase* db, const VmProgram& prog,
   return Status::Ok();
 }
 
+// Code 2 scan (kScanEaNaive / kScanLdNaive), literally: every n1 label
+// tuple joins the knn_naive rows of its hub that depart at or after
+// l1.ta — the key range (hub, ta)..(hub, INT32_MAX) — and each row's
+// first k (v, ta) pairs fold into the per-stop aggregate. EA keeps n1
+// tuples departing at or after t and takes the minimum arrival; LD keeps
+// every n1 tuple, drops pairs arriving after t and takes the maximum n1
+// departure. There is no early exit: the full range walk is the cost
+// Figure 3 measures. Step accounting: one vm_step per row read and one
+// per pair examined. Kept out of line so the baseline does not grow
+// RunCompiledSetQuery, the dispatch loop every optimized set query runs.
+[[gnu::noinline]] Status ScanNaive(EngineDatabase* db, const VmProgram& prog, bool ld,
+                 const LabelRowView& n1, EventTime t, uint32_t k,
+                 ArenaInt32Map* agg, RowScratch* scratch) {
+  auto& counters = ThisThreadQueryCounters();
+  BufferPool* pool = db->buffer_pool();
+  const StoredTime bound = SaturatingToStoredTime(t);
+  for (size_t i = 0; i < n1.size(); ++i) {
+    if (!ld && n1.tds[i] < bound) continue;
+    const IndexKey last = MakeCompositeKey(
+        n1.hubs[i], std::numeric_limits<int32_t>::max());
+    auto cursor = prog.buckets->Seek(
+        MakeCompositeKey(n1.hubs[i], n1.tas[i]), pool);
+    for (; cursor.Valid() && cursor.key() <= last; cursor.Next()) {
+      PTLDB_RETURN_IF_ERROR(CheckQueryCheckpoint());
+      ++counters.vm_steps;
+      PTLDB_RETURN_IF_ERROR(cursor.RowInto(scratch));
+      // Naive row layout (BuildTargetSetTables): 0 hub, 1 td, 2 vs, 3 tas.
+      if (scratch->cols.size() < 4) {
+        return Status::Corruption("naive row has too few columns");
+      }
+      const auto vs = scratch->array(2);
+      const auto tas = scratch->array(3);
+      if (tas.size() != vs.size()) {
+        return Status::Corruption(
+            "parallel UNNEST arrays have unequal lengths");
+      }
+      const size_t lim = k == 0 ? vs.size() : std::min<size_t>(vs.size(), k);
+      for (size_t j = 0; j < lim; ++j) {
+        ++counters.vm_steps;
+        if (!ld) {
+          AggMin(agg, vs[j], tas[j]);
+        } else if (tas[j] <= bound) {
+          AggMax(agg, vs[j], n1.tds[i]);
+        }
+      }
+    }
+    // A faulted walk ends early with Valid() == false; surface the fault
+    // instead of answering from the rows read so far.
+    PTLDB_RETURN_IF_ERROR(cursor.status());
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<VmProgram> CompileV2v(EngineDatabase* db, CompiledV2vKind kind) {
@@ -212,22 +266,23 @@ Result<VmProgram> CompileV2v(EngineDatabase* db, CompiledV2vKind kind) {
   return p;
 }
 
-Result<VmProgram> CompileSetQuery(EngineDatabase* db, bool ld,
-                                  const std::string& bucket_table,
+Result<VmProgram> CompileSetQuery(EngineDatabase* db, VmOp scan,
+                                  const std::string& table,
                                   Duration bucket_seconds, int32_t max_bucket,
                                   uint32_t kmax) {
+  const bool ld = scan == VmOp::kScanLdBuckets || scan == VmOp::kScanLdNaive;
   VmProgram p;
   auto lout = RequireTable(db, kLoutTable);
   PTLDB_RETURN_IF_ERROR(lout.status());
-  auto buckets = RequireTable(db, bucket_table);
-  PTLDB_RETURN_IF_ERROR(buckets.status());
+  auto scanned = RequireTable(db, table);
+  PTLDB_RETURN_IF_ERROR(scanned.status());
   p.lout = *lout;
-  p.buckets = *buckets;
+  p.buckets = *scanned;
   p.bucket_seconds = bucket_seconds;
   p.max_bucket = max_bucket;
   p.kmax = kmax;
   p.Push(VmOp::kLoadOut, 0);
-  p.Push(ld ? VmOp::kScanLdBuckets : VmOp::kScanEaBuckets, 0);
+  p.Push(scan, 0);
   p.Push(VmOp::kEmitTopK, ld ? 1 : 0);
   return p;
 }
@@ -345,6 +400,14 @@ Result<std::vector<StopTimeResult>> RunCompiledSetQuery(EngineDatabase* db,
         if (have_label) {
           PTLDB_RETURN_IF_ERROR(ScanLdBuckets(db, prog, reg[instr.a], t, k,
                                               &agg, &state.bucket_row));
+        }
+        break;
+      case VmOp::kScanEaNaive:
+      case VmOp::kScanLdNaive:
+        if (have_label) {
+          PTLDB_RETURN_IF_ERROR(ScanNaive(
+              db, prog, /*ld=*/instr.op == VmOp::kScanLdNaive, reg[instr.a],
+              t, k, &agg, &state.bucket_row));
         }
         break;
       case VmOp::kEmitTopK: {

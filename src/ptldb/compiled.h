@@ -13,14 +13,14 @@
 namespace ptldb {
 
 /// Compilation and execution of the VM programs (engine/vm.h) that answer
-/// every PtldbDatabase query except the Code 2 naive baselines. The facade
-/// compiles each query type once — the three Code 1 flavors at Build, the
-/// four bucket flavors per target set at AddTargetSet — and the entry
-/// points execute the stored program. Labels are read from the lout/lin
-/// heap rows through the buffer pool. All per-request scratch lives in a
-/// thread-local bump arena plus reusable RowScratch buffers, so a warm VM
-/// query performs zero steady-state heap allocations (bench_micro's
-/// allocation gate pins this).
+/// every PtldbDatabase query. The facade compiles each query type once —
+/// the three Code 1 flavors at Build, the four bucket flavors per target
+/// set at AddTargetSet — and the entry points execute the stored program;
+/// the two Code 2 naive baselines compile per call. Labels are read from
+/// the lout/lin heap rows through the buffer pool. All per-request scratch
+/// lives in a thread-local bump arena plus reusable RowScratch buffers, so
+/// a warm VM query performs zero steady-state heap allocations
+/// (bench_micro's allocation gate pins this).
 
 enum class CompiledV2vKind { kEa, kLd, kSd };
 
@@ -29,12 +29,14 @@ enum class CompiledV2vKind { kEa, kLd, kSd };
 /// kInvalidArgument when a label table has not been built.
 Result<VmProgram> CompileV2v(EngineDatabase* db, CompiledV2vKind kind);
 
-/// Compiles one Code 3/4 flavor against a target set's bucket table
-/// (knn_ea_<set> / otm_ea_<set> / knn_ld_<set> / otm_ld_<set>).
-/// `ld` selects the LD scan and descending emit order. Fails with
-/// kInvalidArgument when the bucket table or lout has not been built.
-Result<VmProgram> CompileSetQuery(EngineDatabase* db, bool ld,
-                                  const std::string& bucket_table,
+/// Compiles one set query — kLoadOut, the `scan` op over `table`,
+/// kEmitTopK — for Code 3/4 (kScan{Ea,Ld}Buckets over knn_ea_<set> /
+/// otm_ea_<set> / knn_ld_<set> / otm_ld_<set>) or the Code 2 baseline
+/// (kScan{Ea,Ld}Naive over knn_naive_<set>). LD ops emit in descending
+/// time order. Fails with kInvalidArgument when `table` or lout has not
+/// been built.
+Result<VmProgram> CompileSetQuery(EngineDatabase* db, VmOp scan,
+                                  const std::string& table,
                                   Duration bucket_seconds, int32_t max_bucket,
                                   uint32_t kmax);
 

@@ -6,7 +6,6 @@
 
 #include "common/query_context.h"
 #include "ptldb/compiled.h"
-#include "ptldb/queries.h"
 #include "ptldb/tables.h"
 
 namespace ptldb {
@@ -137,12 +136,16 @@ Status PtldbDatabase::AddTargetSet(const std::string& name,
   // points select a stored program instead of building a plan per query.
   // OTM programs share the kNN scan shape with k clamped to kmax at
   // compile time and 0 at run time (no output truncation).
-  for (const auto& [prog, ld, table, prog_kmax] :
-       {std::tuple{&info.ea_knn_program, false, KnnEaTableName(name), kmax},
-        std::tuple{&info.ld_knn_program, true, KnnLdTableName(name), kmax},
-        std::tuple{&info.ea_otm_program, false, OtmEaTableName(name), 0u},
-        std::tuple{&info.ld_otm_program, true, OtmLdTableName(name), 0u}}) {
-    auto compiled = CompileSetQuery(&db_, ld, table, bucket_seconds,
+  for (const auto& [prog, scan, table, prog_kmax] :
+       {std::tuple{&info.ea_knn_program, VmOp::kScanEaBuckets,
+                   KnnEaTableName(name), kmax},
+        std::tuple{&info.ld_knn_program, VmOp::kScanLdBuckets,
+                   KnnLdTableName(name), kmax},
+        std::tuple{&info.ea_otm_program, VmOp::kScanEaBuckets,
+                   OtmEaTableName(name), 0u},
+        std::tuple{&info.ld_otm_program, VmOp::kScanLdBuckets,
+                   OtmLdTableName(name), 0u}}) {
+    auto compiled = CompileSetQuery(&db_, scan, table, bucket_seconds,
                                     info.max_bucket, prog_kmax);
     PTLDB_RETURN_IF_ERROR(compiled.status());
     *prog = *compiled;
@@ -208,6 +211,19 @@ void PatchSelfTarget(std::vector<StopTimeResult>* out,
               return a.stop < b.stop;
             });
   if (k != 0 && out->size() > k) out->resize(k);
+}
+
+/// Code 2 compiles per call: its program binds knn_naive_<set>, which
+/// TargetSetInfo does not carry. The lookups are the same two catalog
+/// finds the stored programs make once at AddTargetSet.
+Result<std::vector<StopTimeResult>> RunNaiveKnn(
+    EngineDatabase* db, VmOp scan, const std::string& set_name,
+    const PtldbDatabase::TargetSetInfo& info, StopId q, EventTime t,
+    uint32_t k) {
+  auto prog = CompileSetQuery(db, scan, NaiveKnnTableName(set_name),
+                              info.bucket_seconds, info.max_bucket, info.kmax);
+  PTLDB_RETURN_IF_ERROR(prog.status());
+  return RunCompiledSetQuery(db, *prog, q, t, k);
 }
 
 }  // namespace
@@ -358,7 +374,7 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::EaKnnNaive(
                [&]() -> Result<std::vector<StopTimeResult>> {
     auto info = ValidateSet(set_name, k);
     if (!info.ok()) return info.status();
-    auto r = QueryEaKnnNaive(&db_, set_name, q, t, k);
+    auto r = RunNaiveKnn(&db_, VmOp::kScanEaNaive, set_name, **info, q, t, k);
     if (r.ok()) PatchSelfTarget(&*r, (*info)->targets, q, t, k, /*ld=*/false);
     return r;
   });
@@ -372,7 +388,7 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::LdKnnNaive(
                [&]() -> Result<std::vector<StopTimeResult>> {
     auto info = ValidateSet(set_name, k);
     if (!info.ok()) return info.status();
-    auto r = QueryLdKnnNaive(&db_, set_name, q, t, k);
+    auto r = RunNaiveKnn(&db_, VmOp::kScanLdNaive, set_name, **info, q, t, k);
     if (r.ok()) PatchSelfTarget(&*r, (*info)->targets, q, t, k, /*ld=*/true);
     return r;
   });

@@ -4,7 +4,6 @@
 #include "engine/buffer_pool.h"
 #include "engine/database.h"
 #include "engine/device.h"
-#include "engine/exec.h"
 #include "common/rng.h"
 #include "engine/heap_file.h"
 
@@ -350,6 +349,68 @@ TEST_F(BTreeTest, RandomizedAgainstStdMap) {
   }
 }
 
+// ---------- Table cursor (the Code 2 naive scan's access path) ----------
+
+class CursorTest : public testing::Test {
+ protected:
+  CursorTest() : db_(DeviceProfile::Ram()) {
+    auto table = db_.CreateTable(
+        "t", Schema{{"id", ColumnType::kInt32},
+                    {"vals", ColumnType::kInt32Array}});
+    table_ = *table;
+    std::vector<std::pair<IndexKey, Row>> rows;
+    for (int32_t i = 0; i < 10; ++i) {
+      rows.emplace_back(
+          i, Row{Value(i), Value(std::vector<int32_t>{i, i + 1, i + 2})});
+    }
+    EXPECT_TRUE(table_->BulkLoad(std::move(rows)).ok());
+  }
+
+  EngineDatabase db_;
+  EngineTable* table_ = nullptr;
+};
+
+TEST_F(CursorTest, RowIntoDecodesLikeRowAndCountsTuples) {
+  RowScratch scratch;
+  const uint64_t scanned_before = ThisThreadQueryCounters().tuples_scanned;
+  int32_t expected = 4;
+  for (auto cursor = table_->Seek(4, db_.buffer_pool());
+       cursor.Valid() && cursor.key() <= 6; cursor.Next()) {
+    ASSERT_TRUE(cursor.RowInto(&scratch).ok());
+    const auto row = cursor.row();
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(scratch.scalar(0), (*row)[0].AsInt());
+    const auto vals = scratch.array(1);
+    EXPECT_EQ(std::vector<int32_t>(vals.begin(), vals.end()),
+              (*row)[1].AsArray());
+    EXPECT_EQ(scratch.scalar(0), expected++);
+  }
+  EXPECT_EQ(expected, 7);
+  // Rows 4..6, each read once by RowInto and once by row().
+  EXPECT_EQ(ThisThreadQueryCounters().tuples_scanned - scanned_before, 6u);
+}
+
+TEST_F(CursorTest, RowIntoSurfacesDeviceFault) {
+  auto cursor = table_->Seek(0, db_.buffer_pool());
+  ASSERT_TRUE(cursor.Valid());
+  FaultPolicy faults;
+  faults.seed = 9;
+  faults.transient_error_prob = 1.0;
+  db_.device()->set_fault_policy(faults);
+  ASSERT_TRUE(db_.buffer_pool()->DropCaches().ok());
+  RowScratch scratch;
+  EXPECT_EQ(cursor.RowInto(&scratch).code(), Status::Code::kIoError);
+}
+
+// ---------- End-of-stream latching under injected faults ----------
+//
+// The VM's Code 2 naive scan (ptldb/compiled.cc) walks one table cursor
+// per n1 hub and checks cursor.status() after each walk. That is only
+// sound if a faulted cursor stays ended: a pull after a transient fault
+// must not retry the read, resume the stream and later end with an OK
+// status — which would turn a mid-stream kIoError into a shorter-but-OK
+// answer. These regressions pin that latch on the cursor itself.
+
 class ExecTest : public testing::Test {
  protected:
   ExecTest() : db_(DeviceProfile::Ram()) {
@@ -359,7 +420,7 @@ class ExecTest : public testing::Test {
                     {"times", ColumnType::kInt32Array}});
     table_ = *table;
     std::vector<std::pair<IndexKey, Row>> rows;
-    for (int32_t i = 0; i < 10; ++i) {
+    for (int32_t i = 0; i < kRows; ++i) {
       rows.emplace_back(
           i, Row{Value(i), Value(std::vector<int32_t>{i, i + 1, i + 2}),
                  Value(std::vector<int32_t>{10 * i, 10 * i + 1, 10 * i + 2})});
@@ -367,215 +428,98 @@ class ExecTest : public testing::Test {
     EXPECT_TRUE(table_->BulkLoad(std::move(rows)).ok());
   }
 
+  void FailEveryRead(uint64_t seed) {
+    FaultPolicy faults;
+    faults.seed = seed;
+    faults.transient_error_prob = 1.0;
+    db_.device()->set_fault_policy(faults);
+    ASSERT_TRUE(db_.buffer_pool()->DropCaches().ok());
+  }
+
+  void Heal() {
+    db_.device()->set_fault_policy(FaultPolicy{});
+    ASSERT_TRUE(db_.buffer_pool()->DropCaches().ok());
+  }
+
+  // Enough rows that the index spans several leaves, so a walk crosses
+  // leaf boundaries the way a naive scan crosses hub ranges.
+  static constexpr int32_t kRows = 1500;
+
   EngineDatabase db_;
   EngineTable* table_ = nullptr;
 };
 
-TEST_F(ExecTest, IndexLookupFindsRow) {
-  auto op = MakeIndexLookup(table_, 3, db_.buffer_pool());
-  const auto rows = *Execute(op.get());
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0][0].AsInt(), 3);
-  EXPECT_TRUE(Execute(op.get())->empty());  // Exhausted.
-}
-
-TEST_F(ExecTest, IndexLookupMissYieldsNothing) {
-  auto op = MakeIndexLookup(table_, 77, db_.buffer_pool());
-  EXPECT_TRUE(Execute(op.get())->empty());
-}
-
-TEST_F(ExecTest, RangeScanRespectsBounds) {
-  auto op = MakeIndexRangeScan(table_, 4, 6, db_.buffer_pool());
-  const auto rows = *Execute(op.get());
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0][0].AsInt(), 4);
-  EXPECT_EQ(rows[2][0].AsInt(), 6);
-}
-
-TEST_F(ExecTest, UnnestZipsParallelArrays) {
-  auto op = MakeUnnest(MakeIndexLookup(table_, 2, db_.buffer_pool()), {0},
-                       {1, 2});
-  const auto rows = *Execute(op.get());
-  ASSERT_EQ(rows.size(), 3u);
-  // (id, val, time) triples in array order.
-  EXPECT_EQ(rows[1][0].AsInt(), 2);
-  EXPECT_EQ(rows[1][1].AsInt(), 3);
-  EXPECT_EQ(rows[1][2].AsInt(), 21);
-}
-
-TEST_F(ExecTest, UnnestLimitSlicesLikeSqlOneToK) {
-  auto op = MakeUnnest(MakeIndexLookup(table_, 2, db_.buffer_pool()), {},
-                       {1}, /*limit_elems=*/2);
-  EXPECT_EQ(Execute(op.get())->size(), 2u);
-}
-
-TEST_F(ExecTest, FilterAndProject) {
-  auto op = MakeUnnest(MakeIndexLookup(table_, 5, db_.buffer_pool()), {},
-                       {1, 2});
-  op = MakeFilter(std::move(op),
-                  [](const Row& r) { return r[0].AsInt() % 2 == 0; });
-  op = MakeProject(std::move(op),
-                   [](const Row& r) { return Row{r[1]}; });
-  const auto rows = *Execute(op.get());
-  ASSERT_EQ(rows.size(), 1u);  // vals {5,6,7} -> only 6 is even.
-  EXPECT_EQ(rows[0][0].AsInt(), 51);  // time of val 6.
-}
-
-TEST_F(ExecTest, IndexJoinAppendsRightRow) {
-  std::vector<Row> left{{Value(1)}, {Value(42)}, {Value(3)}};
-  auto op = MakeIndexJoin(
-      MakeVectorSource(left), table_,
-      [](const Row& r) { return static_cast<IndexKey>(r[0].AsInt()); },
-      db_.buffer_pool());
-  const auto rows = *Execute(op.get());
-  ASSERT_EQ(rows.size(), 2u);  // Key 42 has no match.
-  EXPECT_EQ(rows[0][1].AsInt(), 1);
-  EXPECT_EQ(rows[1][1].AsInt(), 3);
-}
-
-TEST_F(ExecTest, IndexRangeJoinEmitsAllMatches) {
-  std::vector<Row> left{{Value(7)}};
-  auto op = MakeIndexRangeJoin(
-      MakeVectorSource(left), table_,
-      [](const Row& r) { return static_cast<IndexKey>(r[0].AsInt()); },
-      [](const Row&) { return static_cast<IndexKey>(9); }, db_.buffer_pool());
-  const auto rows = *Execute(op.get());
-  ASSERT_EQ(rows.size(), 3u);  // Rows 7, 8, 9.
-  EXPECT_EQ(rows[2][1].AsInt(), 9);
-}
-
-TEST_F(ExecTest, HashJoinEmitsAllMatchesPerKey) {
-  std::vector<Row> left{{Value(1), Value(10)},
-                        {Value(2), Value(20)},
-                        {Value(9), Value(90)}};
-  std::vector<Row> right{{Value(100), Value(1)},
-                         {Value(101), Value(1)},
-                         {Value(102), Value(2)}};
-  auto op = MakeHashJoin(MakeVectorSource(left), MakeVectorSource(right),
-                         /*left_key_col=*/0, /*right_key_col=*/1);
-  const auto rows = *Execute(op.get());
-  ASSERT_EQ(rows.size(), 3u);  // Key 1 matches twice, key 2 once, key 9 none.
-  EXPECT_EQ(rows[0][2].AsInt(), 100);
-  EXPECT_EQ(rows[1][2].AsInt(), 101);
-  EXPECT_EQ(rows[2][0].AsInt(), 2);
-  EXPECT_EQ(rows[2][2].AsInt(), 102);
-}
-
-TEST_F(ExecTest, HashJoinWithEmptySides) {
-  std::vector<Row> left{{Value(1)}};
-  auto no_right = MakeHashJoin(MakeVectorSource(left), MakeVectorSource({}),
-                               0, 0);
-  EXPECT_TRUE(Execute(no_right.get())->empty());
-  std::vector<Row> right{{Value(1)}};
-  auto no_left = MakeHashJoin(MakeVectorSource({}), MakeVectorSource(right),
-                              0, 0);
-  EXPECT_TRUE(Execute(no_left.get())->empty());
-}
-
-TEST_F(ExecTest, HashAggregateMinMax) {
-  std::vector<Row> input{{Value(1), Value(10)},
-                         {Value(2), Value(5)},
-                         {Value(1), Value(3)},
-                         {Value(2), Value(9)}};
-  auto mins = MakeHashAggregate(MakeVectorSource(input), 0, 1, AggFn::kMin);
-  auto rows = *Execute(mins.get());
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0][1].AsInt(), 3);
-  EXPECT_EQ(rows[1][1].AsInt(), 5);
-  auto maxs = MakeHashAggregate(MakeVectorSource(input), 0, 1, AggFn::kMax);
-  rows = *Execute(maxs.get());
-  EXPECT_EQ(rows[0][1].AsInt(), 10);
-  EXPECT_EQ(rows[1][1].AsInt(), 9);
-}
-
-TEST_F(ExecTest, SortLimitConcat) {
-  std::vector<Row> a{{Value(3)}, {Value(1)}};
-  std::vector<Row> b{{Value(2)}};
-  std::vector<OperatorPtr> parts;
-  parts.push_back(MakeVectorSource(a));
-  parts.push_back(MakeVectorSource(b));
-  auto op = MakeConcat(std::move(parts));
-  op = MakeSort(std::move(op), [](const Row& x, const Row& y) {
-    return x[0].AsInt() < y[0].AsInt();
-  });
-  op = MakeLimit(std::move(op), 2);
-  const auto rows = *Execute(op.get());
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0][0].AsInt(), 1);
-  EXPECT_EQ(rows[1][0].AsInt(), 2);
-}
-
-// ---------- End-of-stream latching under injected faults ----------
-//
-// Regression tests for the Operator latch contract (exec.h): before the
-// latch existed, the faulting read did not advance the scan cursor, so a
-// pull after a transient mid-scan fault retried the read, silently resumed
-// the stream, and a later clean end overwrote the parked error with OK —
-// a mid-stream kIoError surfaced as a shorter-but-OK result.
-
 TEST_F(ExecTest, MidStreamFaultIsLatchedNotResumed) {
-  auto op = MakeIndexRangeScan(table_, 0, 9, db_.buffer_pool());
-  ASSERT_TRUE(op->Next().has_value());
-  ASSERT_TRUE(op->Next().has_value());
+  auto cursor = table_->Seek(0, db_.buffer_pool());
+  ASSERT_TRUE(cursor.Valid());
+  cursor.Next();
+  ASSERT_TRUE(cursor.Valid());
+  EXPECT_EQ(cursor.key(), 1);
   // Fail every device read and cold-cache so the next pull really faults.
-  FaultPolicy faults;
-  faults.seed = 9;
-  faults.transient_error_prob = 1.0;
-  db_.device()->set_fault_policy(faults);
-  ASSERT_TRUE(db_.buffer_pool()->DropCaches().ok());
-  ASSERT_FALSE(op->Next().has_value());
-  const Status fault = op->status();
+  FailEveryRead(9);
+  cursor.Next();
+  ASSERT_FALSE(cursor.Valid());
+  const Status fault = cursor.status();
   ASSERT_FALSE(fault.ok());
   EXPECT_EQ(fault.code(), Status::Code::kIoError);
   // Heal the device: the fault is now transient in hindsight. The stream
   // must stay ended and the parked error must survive further pulls.
-  db_.device()->set_fault_policy(FaultPolicy{});
-  ASSERT_TRUE(db_.buffer_pool()->DropCaches().ok());
-  for (int i = 0; i < 12; ++i) EXPECT_FALSE(op->Next().has_value());
-  EXPECT_EQ(op->status().code(), Status::Code::kIoError);
-  EXPECT_EQ(op->status().ToString(), fault.ToString());
+  Heal();
+  for (int i = 0; i < 12; ++i) {
+    cursor.Next();
+    EXPECT_FALSE(cursor.Valid());
+  }
+  EXPECT_EQ(cursor.status().code(), Status::Code::kIoError);
+  EXPECT_EQ(cursor.status().ToString(), fault.ToString());
 }
 
 TEST_F(ExecTest, ConcatDoesNotResumePastAFaultedChild) {
-  std::vector<OperatorPtr> parts;
-  parts.push_back(MakeIndexRangeScan(table_, 0, 4, db_.buffer_pool()));
-  std::vector<Row> tail{{Value(100)}};
-  parts.push_back(MakeVectorSource(tail));
-  auto op = MakeConcat(std::move(parts));
-  ASSERT_TRUE(op->Next().has_value());
-  FaultPolicy faults;
-  faults.seed = 3;
-  faults.transient_error_prob = 1.0;
-  db_.device()->set_fault_policy(faults);
-  ASSERT_TRUE(db_.buffer_pool()->DropCaches().ok());
-  ASSERT_FALSE(op->Next().has_value());
-  ASSERT_FALSE(op->status().ok());
-  db_.device()->set_fault_policy(FaultPolicy{});
-  ASSERT_TRUE(db_.buffer_pool()->DropCaches().ok());
-  // Neither the faulted child nor the healthy one after it may produce
-  // more rows once the fault ended the concatenated stream.
-  EXPECT_FALSE(op->Next().has_value());
-  EXPECT_FALSE(op->status().ok());
+  // Walk across the leaf chain, fault part-way, heal, and pull again:
+  // neither the faulted leaf nor the healthy leaves after it may produce
+  // more rows once the fault ended the stream.
+  auto cursor = table_->Seek(0, db_.buffer_pool());
+  int32_t read = 0;
+  for (; cursor.Valid() && read < 100; cursor.Next()) {
+    ASSERT_EQ(cursor.key(), read);
+    ++read;
+  }
+  ASSERT_TRUE(cursor.Valid());
+  FailEveryRead(3);
+  cursor.Next();
+  ASSERT_FALSE(cursor.Valid());
+  ASSERT_FALSE(cursor.status().ok());
+  Heal();
+  for (int i = 0; i < kRows; ++i) {
+    cursor.Next();
+    if (cursor.Valid()) ++read;
+  }
+  EXPECT_EQ(read, 100);
+  EXPECT_FALSE(cursor.status().ok());
+  // The rows the latch withheld are really there: a fresh walk over the
+  // healed device reads them all to a clean end.
+  int32_t rest = 0;
+  auto fresh = table_->Seek(100, db_.buffer_pool());
+  for (; fresh.Valid(); fresh.Next()) ++rest;
+  EXPECT_TRUE(fresh.status().ok());
+  EXPECT_EQ(100 + rest, kRows);
 }
 
 TEST_F(ExecTest, FaultedPlanStaysFaultedAfterHeal) {
-  auto op = MakeIndexRangeScan(table_, 0, 9, db_.buffer_pool());
-  FaultPolicy faults;
-  faults.seed = 21;
-  faults.transient_error_prob = 1.0;
-  db_.device()->set_fault_policy(faults);
-  ASSERT_TRUE(db_.buffer_pool()->DropCaches().ok());
-  const auto first = Execute(op.get());
-  ASSERT_FALSE(first.ok());
-  EXPECT_EQ(first.status().code(), Status::Code::kIoError);
-  // Re-draining the same faulted root after the device heals must report
-  // the original fault — before the latch it re-ran the scan from the
-  // parked cursor and returned the rows with an OK status.
-  db_.device()->set_fault_policy(FaultPolicy{});
-  ASSERT_TRUE(db_.buffer_pool()->DropCaches().ok());
-  const auto second = Execute(op.get());
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.status().code(), Status::Code::kIoError);
+  // A cursor whose Seek faulted in the descent is ended before its first
+  // row; after the device heals, pulling it again must still report the
+  // original fault rather than re-run the descent and yield rows with an
+  // OK status.
+  FailEveryRead(21);
+  auto cursor = table_->Seek(0, db_.buffer_pool());
+  ASSERT_FALSE(cursor.Valid());
+  ASSERT_FALSE(cursor.status().ok());
+  EXPECT_EQ(cursor.status().code(), Status::Code::kIoError);
+  Heal();
+  for (int i = 0; i < 3; ++i) {
+    cursor.Next();
+    EXPECT_FALSE(cursor.Valid());
+  }
+  EXPECT_EQ(cursor.status().code(), Status::Code::kIoError);
 }
 
 // ---------- Checksums, fault injection, and retries ----------

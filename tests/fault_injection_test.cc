@@ -171,7 +171,21 @@ TEST_F(FaultSoakTest, NoCrashesNoWrongAnswersAcrossSeeds) {
         ++failed_answers;
       }
 
-      // 6-7: one-to-many must match brute force exactly when it answers.
+      // 6-7: the Code 2 naive baselines (no fallback: a fault is an error).
+      if (const auto r = (*db)->EaKnnNaive("T", q, t, k); r.ok()) {
+        CheckKnn(*r, ea_full, k, "EA-kNN-naive", seed);
+        ++ok_answers;
+      } else {
+        ++failed_answers;
+      }
+      if (const auto r = (*db)->LdKnnNaive("T", q, t_end, k); r.ok()) {
+        CheckKnn(*r, ld_full, k, "LD-kNN-naive", seed);
+        ++ok_answers;
+      } else {
+        ++failed_answers;
+      }
+
+      // 8-9: one-to-many must match brute force exactly when it answers.
       if (const auto r = (*db)->EaOneToMany("T", q, t); r.ok()) {
         ASSERT_EQ(r->size(), ea_full.size()) << "EA-OTM seed " << seed;
         for (size_t i = 0; i < ea_full.size(); ++i) {
@@ -200,7 +214,7 @@ TEST_F(FaultSoakTest, NoCrashesNoWrongAnswersAcrossSeeds) {
   EXPECT_GT(ok_answers, 0u);
   EXPECT_GT(failed_answers, 0u);
   const auto& stats = (*db)->query_stats();
-  EXPECT_EQ(stats.queries, kNumSeeds * 12 * 7);
+  EXPECT_EQ(stats.queries, kNumSeeds * 12 * 9);
   // Degradation should have rescued at least one kNN/OTM query.
   EXPECT_GT(stats.degraded, 0u);
 
@@ -227,6 +241,64 @@ TEST_F(FaultSoakTest, NoCrashesNoWrongAnswersAcrossSeeds) {
     ASSERT_EQ(otm->size(), brute.size());
     for (size_t i = 0; i < brute.size(); ++i) EXPECT_EQ((*otm)[i], brute[i]);
   }
+}
+
+// The Code 2 naive program walks knn_naive with a table cursor. A fault
+// during the walk must end the query with the fault — never with the
+// rows read so far as a short OK answer — and once the device heals the
+// same calls must answer exactly.
+TEST_F(FaultSoakTest, NaiveKnnFaultIsAnErrorNotAShortAnswer) {
+  const Timetable& tt = truth_->tt;
+  const std::vector<StopId>& targets = truth_->targets;
+  auto index = BuildTtlIndex(tt);
+  ASSERT_TRUE(index.ok());
+  PtldbOptions options;
+  options.device = DeviceProfile::Ram();
+  auto db = PtldbDatabase::Build(*index, options);
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->AddTargetSet("T", *index, targets, /*kmax=*/4).ok());
+  StorageDevice* device = (*db)->engine()->device();
+
+  // A query stop outside T from which some target is reachable.
+  const EventTime t = tt.min_time();
+  const EventTime t_end = tt.max_time();
+  StopId q = 0;
+  while (std::find(targets.begin(), targets.end(), q) != targets.end() ||
+         BruteEaOneToMany(tt, q, targets, t).empty() ||
+         BruteLdOneToMany(tt, q, targets, t_end).empty()) {
+    ++q;
+    ASSERT_LT(q, tt.num_stops());
+  }
+  const uint32_t k = 3;
+
+  FaultPolicy failing;
+  failing.seed = 9;
+  failing.transient_error_prob = 1.0;
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE((*db)->DropCaches().ok());
+    if (round == 1) {
+      // Cache q's lout row first so the fault hits the knn_naive walk
+      // itself rather than the label load in front of it.
+      ASSERT_TRUE((*db)->EarliestArrival(q, targets[0], t).ok());
+    }
+    device->set_fault_policy(failing);
+    const auto ea = (*db)->EaKnnNaive("T", q, t, k);
+    ASSERT_FALSE(ea.ok()) << "round " << round;
+    EXPECT_EQ(ea.status().code(), Status::Code::kIoError);
+    const auto ld = (*db)->LdKnnNaive("T", q, t_end, k);
+    ASSERT_FALSE(ld.ok()) << "round " << round;
+    EXPECT_EQ(ld.status().code(), Status::Code::kIoError);
+    device->set_fault_policy(FaultPolicy{});
+  }
+
+  ASSERT_TRUE((*db)->DropCaches().ok());
+  const auto ea = (*db)->EaKnnNaive("T", q, t, k);
+  ASSERT_TRUE(ea.ok()) << ea.status().ToString();
+  CheckKnn(*ea, BruteEaOneToMany(tt, q, targets, t), k, "EA-kNN-naive", 0);
+  const auto ld = (*db)->LdKnnNaive("T", q, t_end, k);
+  ASSERT_TRUE(ld.ok()) << ld.status().ToString();
+  CheckKnn(*ld, BruteLdOneToMany(tt, q, targets, t_end), k, "LD-kNN-naive",
+           0);
 }
 
 // Sticky corruption must not poison the process: after the device heals,

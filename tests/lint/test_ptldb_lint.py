@@ -186,7 +186,7 @@ class UnboundedWaitTest(unittest.TestCase):
     def test_executor_path_in_scope(self):
         self.assertIn("unbounded-wait",
                       run_on("cv_.Wait(lock);\n",
-                             rel_path="src/engine/exec.cc"))
+                             rel_path="src/ptldb/compiled.cc"))
 
     def test_rule_scoped_to_request_paths(self):
         # ThreadPool::Wait in the pool's own implementation (build-side
@@ -264,7 +264,7 @@ class VmHotPathAllocTest(unittest.TestCase):
     def test_rule_scoped_to_vm_files(self):
         # The same allocation is fine outside the VM hot path.
         self.assertEqual([], run_on("rows.push_back(row);\n",
-                                    rel_path="src/engine/exec.cc"))
+                                    rel_path="src/sql/interpreter.cc"))
         self.assertEqual([], run_on("rows.push_back(row);\n",
                                     rel_path="src/engine/arena.h"))
 

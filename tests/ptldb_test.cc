@@ -626,7 +626,10 @@ TEST(PtldbEdgeTest, QueryStopInsideTargetSet) {
 class CalendarTest : public testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::path(testing::TempDir()) / "calendar_ptldb";
+    // One directory per case: ctest runs the cases as parallel processes.
+    dir_ = std::filesystem::path(testing::TempDir()) /
+           (std::string("calendar_ptldb_") +
+            testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     Write("stops.txt",
