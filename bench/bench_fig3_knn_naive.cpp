@@ -26,6 +26,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
+    // Registration builds only the optimized tables; Code 2 needs its own.
+    for (const char* set : {"d01k4", "d01k16"}) {
+      if (const auto s = (*db)->AddNaiveKnnTable(set, data->index); !s.ok()) {
+        std::fprintf(stderr, "%s\n", s.ToString().c_str());
+        return 1;
+      }
+    }
     Rng rng(config.seed * 31 + 5);
     // Naive queries scan large row ranges; cap their count to keep the
     // bench runtime sane (averages stabilize quickly).

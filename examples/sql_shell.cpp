@@ -94,6 +94,8 @@ int main(int argc, char** argv) {
   Rng rng(1);
   const auto targets = rng.SampleDistinct(tt->num_stops(), 20);
   if (!(*db)->AddTargetSet("poi", *index, targets, 4).ok()) return 1;
+  // Also build the Code 2 table, so the shell can run the naive SQL too.
+  if (!(*db)->AddNaiveKnnTable("poi", *index).ok()) return 1;
 
   std::printf("PTLDB SQL shell on %s (scale %.2f): %u stops.\n", city.c_str(),
               scale, tt->num_stops());

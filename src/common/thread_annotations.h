@@ -15,7 +15,10 @@
 /// default GCC build) they expand to nothing and cost nothing.
 ///
 /// Lock hierarchy (acquire in this order, document exceptions):
-///   device mutex < buffer-pool shard latch < (no nesting below)
+///   facade build_mu_ -> facade sets_mu_ -> buffer-pool shard latch
+///     -> device mutex
+/// Leaves (nothing is acquired under them): the engine catalog latch,
+/// metrics/trace/thread-pool mutexes.
 /// No PTLDB mutex may be held while calling back into user code.
 ///
 /// Use the `Mutex` / `MutexLock` / `CondVar` wrappers below rather than

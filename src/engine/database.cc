@@ -5,7 +5,7 @@
 namespace ptldb {
 
 Status EngineTable::BulkLoad(std::vector<std::pair<IndexKey, Row>> rows) {
-  if (num_rows_ != 0) return Status::Internal("table already loaded");
+  if (sealed()) return Status::Internal("table already loaded");
   for (size_t i = 1; i < rows.size(); ++i) {
     if (rows[i - 1].first >= rows[i].first) {
       return Status::InvalidArgument("bulk-load keys must strictly increase");
@@ -24,6 +24,7 @@ Status EngineTable::BulkLoad(std::vector<std::pair<IndexKey, Row>> rows) {
   // Seal the freshly written heap + index pages so every later read can be
   // verified against its stamp.
   store_->StampChecksums();
+  sealed_.store(true, std::memory_order_release);
   return Status::Ok();
 }
 
@@ -53,39 +54,49 @@ Result<bool> EngineTable::GetInto(IndexKey key, BufferPool* pool,
 Result<EngineTable*> EngineDatabase::CreateTable(const std::string& name,
                                                  Schema schema,
                                                  uint32_t pk_columns) {
-  if (tables_.count(name) != 0) {
-    return Status::InvalidArgument("table exists: " + name);
-  }
   if (pk_columns == 0 || pk_columns > schema.num_columns()) {
     return Status::InvalidArgument("bad pk column count for " + name);
   }
   auto table = std::make_unique<EngineTable>(name, std::move(schema),
                                              pk_columns, &store_);
   EngineTable* raw = table.get();
-  tables_.emplace(name, std::move(table));
+  MutexLock lock(catalog_mu_);
+  if (!tables_.emplace(name, std::move(table)).second) {
+    return Status::InvalidArgument("table exists: " + name);
+  }
   return raw;
 }
 
 EngineTable* EngineDatabase::FindTable(const std::string& name) {
+  MutexLock lock(catalog_mu_);
   const auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : it->second.get();
+  return it == tables_.end() || !it->second->sealed() ? nullptr
+                                                      : it->second.get();
 }
 
 const EngineTable* EngineDatabase::FindTable(const std::string& name) const {
+  MutexLock lock(catalog_mu_);
   const auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : it->second.get();
+  return it == tables_.end() || !it->second->sealed() ? nullptr
+                                                      : it->second.get();
 }
 
 uint64_t EngineDatabase::total_size_bytes() const {
+  MutexLock lock(catalog_mu_);
   uint64_t total = 0;
-  for (const auto& [_, table] : tables_) total += table->size_bytes();
+  for (const auto& [_, table] : tables_) {
+    if (table->sealed()) total += table->size_bytes();
+  }
   return total;
 }
 
 std::vector<std::string> EngineDatabase::table_names() const {
+  MutexLock lock(catalog_mu_);
   std::vector<std::string> names;
   names.reserve(tables_.size());
-  for (const auto& [name, _] : tables_) names.push_back(name);
+  for (const auto& [name, table] : tables_) {
+    if (table->sealed()) names.push_back(name);
+  }
   return names;
 }
 

@@ -1,6 +1,7 @@
 #ifndef PTLDB_ENGINE_DATABASE_H_
 #define PTLDB_ENGINE_DATABASE_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -8,6 +9,7 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "common/trace.h"
 #include "engine/btree.h"
 #include "engine/buffer_pool.h"
@@ -44,8 +46,14 @@ class EngineTable {
   /// Loads `rows` with their primary keys; keys must be strictly
   /// increasing (violations indicate a broken table builder). Seals every
   /// dirty page in the store with its checksum stamp afterwards, so all
-  /// table pages are verified on read.
+  /// table pages are verified on read, and then marks the table sealed:
+  /// only from then on does the catalog show it to readers. May run
+  /// concurrently with readers, but not with another load (PageStore has
+  /// one writer at a time).
   Status BulkLoad(std::vector<std::pair<IndexKey, Row>> rows);
+
+  /// Whether BulkLoad has completed; a sealed table is immutable.
+  bool sealed() const { return sealed_.load(std::memory_order_acquire); }
 
   /// Primary-key point lookup (index + heap I/O charged to the device).
   /// The outer Result carries kIoError/kCorruption; the inner optional is
@@ -111,6 +119,7 @@ class EngineTable {
   HeapFile heap_;
   BTree index_;
   uint64_t num_rows_ = 0;
+  std::atomic<bool> sealed_{false};
 };
 
 /// Ground-truth engine counters at one instant: the buffer pool's and
@@ -146,12 +155,15 @@ class EngineDatabase {
   EngineDatabase(const EngineDatabase&) = delete;
   EngineDatabase& operator=(const EngineDatabase&) = delete;
 
-  /// Creates an empty table; fails if the name exists. `pk_columns` is the
-  /// number of leading columns forming the primary key.
+  /// Creates an empty table; fails if the name exists, sealed or not.
+  /// `pk_columns` is the number of leading columns forming the primary
+  /// key. The table stays invisible to FindTable, table_names and
+  /// total_size_bytes until its BulkLoad has sealed it, so readers never
+  /// see a half-built heap.
   Result<EngineTable*> CreateTable(const std::string& name, Schema schema,
                                    uint32_t pk_columns = 1);
 
-  /// Looks up a table; nullptr when absent.
+  /// Looks up a sealed table; nullptr when absent or still loading.
   EngineTable* FindTable(const std::string& name);
   const EngineTable* FindTable(const std::string& name) const;
 
@@ -178,9 +190,10 @@ class EngineDatabase {
   /// is in flight and the drop would be partial.
   Status DropCaches() { return pool_.DropCaches(); }
 
-  /// Total bytes across all tables (heap + index pages).
+  /// Total bytes across all sealed tables (heap + index pages).
   uint64_t total_size_bytes() const;
 
+  /// Names of the sealed tables, in name order.
   std::vector<std::string> table_names() const;
 
  private:
@@ -188,7 +201,12 @@ class EngineDatabase {
   StorageDevice device_;
   BufferPool pool_;
   MetricsRegistry metrics_;
-  std::map<std::string, std::unique_ptr<EngineTable>> tables_;
+  /// Catalog latch: a leaf in the lock order (held only for map lookups
+  /// and inserts, never across a load or a page read). Tables are never
+  /// erased, so EngineTable pointers stay valid after it drops.
+  mutable Mutex catalog_mu_;
+  std::map<std::string, std::unique_ptr<EngineTable>> tables_
+      PTLDB_GUARDED_BY(catalog_mu_);
 };
 
 /// RAII trace span that attaches the engine-counter deltas accumulated

@@ -104,16 +104,32 @@ Status PtldbDatabase::AddTargetSet(const std::string& name,
   if (index.num_stops() != num_stops_) {
     return Status::InvalidArgument("index does not match this database");
   }
-  // Held across the whole build: registration (existence check + table
-  // build + catalog insert) is atomic with respect to queries validating
-  // set names and to other AddTargetSet calls.
-  MutexLock lock(sets_mu_);
-  if (target_sets_.count(name) != 0) {
-    return Status::InvalidArgument("target set exists: " + name);
-  }
   if (bucket_seconds <= Duration::Zero()) {
     return Status::InvalidArgument("bucket width must be positive");
   }
+  // Registrations run one at a time under build_mu_, which readers never
+  // take; sets_mu_ is held only to check the name and to publish, so
+  // queries proceed while the tables are built.
+  MutexLock build(build_mu_);
+  {
+    MutexLock lock(sets_mu_);
+    if (target_sets_.count(name) != 0) {
+      return Status::InvalidArgument("target set exists: " + name);
+    }
+  }
+  TargetSetInfo info;
+  PTLDB_RETURN_IF_ERROR(
+      BuildTargetSet(name, index, targets, kmax, bucket_seconds, &info));
+  MutexLock lock(sets_mu_);
+  target_sets_.emplace(name, std::move(info));
+  return Status::Ok();
+}
+
+Status PtldbDatabase::BuildTargetSet(const std::string& name,
+                                     const TtlIndex& index,
+                                     const std::vector<StopId>& targets,
+                                     uint32_t kmax, Duration bucket_seconds,
+                                     TargetSetInfo* info) {
   // Target sets have set semantics: duplicate stops collapse to one
   // target (a duplicated stop must not appear twice in a kNN answer), and
   // the canonical list is kept sorted so self-membership tests (q ∈ T)
@@ -121,37 +137,46 @@ Status PtldbDatabase::AddTargetSet(const std::string& name,
   std::vector<StopId> canon = targets;
   std::sort(canon.begin(), canon.end());
   canon.erase(std::unique(canon.begin(), canon.end()), canon.end());
-  // The analyzer resolves calls by bare name, so the workers' ThreadPool
-  // Submit inside BuildTargetSetTables reads as PtldbServer::Submit, whose
-  // dispatch path takes sets_mu_. The build tasks never touch the catalog.
-  const Status built = BuildTargetSetTables(  // NOLINT(lock-order)
-      index, canon, kmax, name, &db_, bucket_seconds, num_threads_);
-  PTLDB_RETURN_IF_ERROR(built);
-  TargetSetInfo info;
-  info.kmax = kmax;
-  info.bucket_seconds = bucket_seconds;
-  info.max_bucket = CheckedBucketOf(max_event_time_, bucket_seconds);
-  info.targets = std::move(canon);
-  // Compile the four bucket-scan programs once per set; the kNN/OTM entry
-  // points select a stored program instead of building a plan per query.
-  // OTM programs share the kNN scan shape with k clamped to kmax at
-  // compile time and 0 at run time (no output truncation).
+  PTLDB_RETURN_IF_ERROR(BuildTargetSetTables(index, canon, kmax, name, &db_,
+                                             bucket_seconds, num_threads_));
+  info->kmax = kmax;
+  info->bucket_seconds = bucket_seconds;
+  info->max_bucket = CheckedBucketOf(max_event_time_, bucket_seconds);
+  info->targets = std::move(canon);
+  // Compile the four bucket-scan programs once per set, after BulkLoad has
+  // sealed and published the tables they bind; the kNN/OTM entry points
+  // select a stored program instead of building a plan per query. OTM
+  // programs share the kNN scan shape with k clamped to kmax at compile
+  // time and 0 at run time (no output truncation).
   for (const auto& [prog, scan, table, prog_kmax] :
-       {std::tuple{&info.ea_knn_program, VmOp::kScanEaBuckets,
+       {std::tuple{&info->ea_knn_program, VmOp::kScanEaBuckets,
                    KnnEaTableName(name), kmax},
-        std::tuple{&info.ld_knn_program, VmOp::kScanLdBuckets,
+        std::tuple{&info->ld_knn_program, VmOp::kScanLdBuckets,
                    KnnLdTableName(name), kmax},
-        std::tuple{&info.ea_otm_program, VmOp::kScanEaBuckets,
+        std::tuple{&info->ea_otm_program, VmOp::kScanEaBuckets,
                    OtmEaTableName(name), 0u},
-        std::tuple{&info.ld_otm_program, VmOp::kScanLdBuckets,
+        std::tuple{&info->ld_otm_program, VmOp::kScanLdBuckets,
                    OtmLdTableName(name), 0u}}) {
     auto compiled = CompileSetQuery(&db_, scan, table, bucket_seconds,
-                                    info.max_bucket, prog_kmax);
+                                    info->max_bucket, prog_kmax);
     PTLDB_RETURN_IF_ERROR(compiled.status());
     *prog = *compiled;
   }
-  target_sets_.emplace(name, std::move(info));
   return Status::Ok();
+}
+
+Status PtldbDatabase::AddNaiveKnnTable(const std::string& set_name,
+                                       const TtlIndex& index) {
+  if (index.num_stops() != num_stops_) {
+    return Status::InvalidArgument("index does not match this database");
+  }
+  MutexLock build(build_mu_);
+  auto info = ValidateSet(set_name, 1);
+  PTLDB_RETURN_IF_ERROR(info.status());
+  // A second call fails in CreateTable ("table exists"), before any rows
+  // are built.
+  return BuildNaiveKnnTable(index, (*info)->targets, (*info)->kmax, set_name,
+                            &db_, num_threads_);
 }
 
 Result<EventTime> PtldbDatabase::EarliestArrival(StopId s, StopId g,
@@ -214,14 +239,19 @@ void PatchSelfTarget(std::vector<StopTimeResult>* out,
 }
 
 /// Code 2 compiles per call: its program binds knn_naive_<set>, which
-/// TargetSetInfo does not carry. The lookups are the same two catalog
-/// finds the stored programs make once at AddTargetSet.
+/// only exists once AddNaiveKnnTable has built it. The lookups are the
+/// same catalog finds the stored programs make once at AddTargetSet.
 Result<std::vector<StopTimeResult>> RunNaiveKnn(
     EngineDatabase* db, VmOp scan, const std::string& set_name,
     const PtldbDatabase::TargetSetInfo& info, StopId q, EventTime t,
     uint32_t k) {
-  auto prog = CompileSetQuery(db, scan, NaiveKnnTableName(set_name),
-                              info.bucket_seconds, info.max_bucket, info.kmax);
+  const std::string table = NaiveKnnTableName(set_name);
+  if (db->FindTable(table) == nullptr) {
+    return Status::NotFound(table + " is not built; call AddNaiveKnnTable(\"" +
+                            set_name + "\", index) first");
+  }
+  auto prog = CompileSetQuery(db, scan, table, info.bucket_seconds,
+                              info.max_bucket, info.kmax);
   PTLDB_RETURN_IF_ERROR(prog.status());
   return RunCompiledSetQuery(db, *prog, q, t, k);
 }

@@ -100,9 +100,23 @@ class PtldbDatabase {
   /// target before the tables are built, so a stop can never appear twice
   /// in one answer. Also compiles the set's four kNN/OTM programs; a
   /// compile error is returned and the set is not registered.
+  ///
+  /// Readers are not stalled: sets_mu_ is held only to check the name
+  /// and to publish the finished set. The tables are built, sealed and
+  /// compiled under build_mu_ alone, which queries never take, so queries
+  /// run meanwhile; concurrent registrations run one after another, and a
+  /// name registered by an earlier one is rejected with kInvalidArgument.
+  /// The Code 2 naive table is not built; see AddNaiveKnnTable.
   Status AddTargetSet(const std::string& name, const TtlIndex& index,
                       const std::vector<StopId>& targets, uint32_t kmax,
                       Duration bucket_seconds = kHourBucket);
+
+  /// Builds knn_naive_<set>, the table only the Code 2 naive baselines
+  /// (EaKnnNaive/LdKnnNaive, Figure 3) read, for a registered set from
+  /// its canonical targets and kmax. kNotFound for an unknown set,
+  /// kInvalidArgument if the table already exists. Like AddTargetSet, it
+  /// builds under build_mu_ alone, so queries are not stalled.
+  Status AddNaiveKnnTable(const std::string& set_name, const TtlIndex& index);
 
   // --- Vertex-to-vertex queries (Code 1) ---
   // Non-OK on storage faults (kIoError) or detected corruption
@@ -129,6 +143,7 @@ class PtldbDatabase {
   Result<std::vector<StopTimeResult>> LdKnn(const std::string& set_name,
                                             StopId q, EventTime t, uint32_t k);
   /// The naive baselines of Code 2 (Figure 3 compares against these).
+  /// kNotFound until AddNaiveKnnTable has built the set's naive table.
   Result<std::vector<StopTimeResult>> EaKnnNaive(const std::string& set_name,
                                                  StopId q, EventTime t,
                                                  uint32_t k);
@@ -257,6 +272,13 @@ class PtldbDatabase {
   Result<const TargetSetInfo*> ValidateSet(const std::string& set_name,
                                            uint32_t k) const;
 
+  /// AddTargetSet's build, run under build_mu_ without sets_mu_:
+  /// canonicalizes the targets, builds the set's four tables and compiles
+  /// its programs into `info`.
+  Status BuildTargetSet(const std::string& name, const TtlIndex& index,
+                        const std::vector<StopId>& targets, uint32_t kmax,
+                        Duration bucket_seconds, TargetSetInfo* info);
+
   /// Resets this thread's LastQueryDegradedOnThisThread() flag (defined
   /// in ptldb.cc next to the thread_local it clears).
   static void ClearThreadDegradedFlag();
@@ -367,13 +389,18 @@ class PtldbDatabase {
   const VmProgram& v2v_program(QueryType type) const {
     return v2v_programs_[static_cast<size_t>(type)];
   }
-  /// Catalog latch: guards the target-set map against a concurrent
-  /// AddTargetSet while queries validate set names. Held across the
-  /// whole derived-table build, so registration is atomic; sets are
-  /// never erased, so TargetSetInfo pointers handed out by ValidateSet
-  /// stay valid after the latch drops (std::map nodes are stable).
-  /// Top of the facade's lock order: shard latches and the device mutex
-  /// are acquired below it, never the other way around.
+  /// Writer latch: serializes AddTargetSet and AddNaiveKnnTable, which
+  /// makes them the PageStore's one writer. Held across a whole build;
+  /// queries never take it. Acquired before sets_mu_.
+  Mutex build_mu_;
+  /// Catalog latch: guards the target-set map. Held only for lookups and
+  /// the final insert — never across a table build, a BulkLoad or a
+  /// compile — so a registration never stalls readers for longer than a
+  /// map insert. Sets are never erased, so TargetSetInfo pointers handed
+  /// out by ValidateSet stay valid after the latch drops (std::map nodes
+  /// are stable) and the info behind them is immutable once published.
+  /// The engine catalog latch, shard latches and the device mutex are
+  /// acquired below it, never the other way around.
   mutable Mutex sets_mu_;
   std::map<std::string, TargetSetInfo> target_sets_
       PTLDB_GUARDED_BY(sets_mu_);

@@ -91,48 +91,50 @@ std::vector<std::pair<EventTime, int32_t>> TopEntries(
   return entries;
 }
 
-// Rows of the five derived tables for one hub group. Each hub's rows only
-// depend on that hub's tuples, so groups build independently (in parallel
-// when requested) and concatenate in hub order for a deterministic load.
-struct GroupRows {
-  std::vector<std::pair<IndexKey, Row>> naive;
-  std::vector<std::pair<IndexKey, Row>> knn_ea;
-  std::vector<std::pair<IndexKey, Row>> knn_ld;
-  std::vector<std::pair<IndexKey, Row>> otm_ea;
-  std::vector<std::pair<IndexKey, Row>> otm_ld;
+using TableRows = std::vector<std::pair<IndexKey, Row>>;
+
+// knn_naive rows of one hub group: one per distinct (hub, td), holding the
+// k best distinct targets by earliest arrival.
+TableRows BuildNaiveRows(std::span<const TargetTuple> by_td, int32_t hub,
+                         uint32_t kmax) {
+  TableRows rows;
+  size_t i = 0;
+  while (i < by_td.size()) {
+    size_t j = i;
+    while (j < by_td.size() && by_td[j].td == by_td[i].td) ++j;
+    // Per distinct target keep its earliest arrival within the group.
+    std::map<int32_t, EventTime> best;
+    for (size_t k = i; k < j; ++k) {
+      const auto [it, inserted] = best.emplace(by_td[k].v, by_td[k].ta);
+      if (!inserted) it->second = std::min(it->second, by_td[k].ta);
+    }
+    const auto top = TopEntries(best, /*ascending=*/true, kmax);
+    std::vector<int32_t> vs;
+    std::vector<int32_t> tas;
+    for (const auto& [ta, v] : top) {
+      vs.push_back(v);
+      tas.push_back(ToStoredTime(ta));
+    }
+    rows.emplace_back(MakeCompositeKey(hub, ToStoredTime(by_td[i].td)),
+                      Row{Value(hub), Value(ToStoredTime(by_td[i].td)),
+                          Value(std::move(vs)), Value(std::move(tas))});
+    i = j;
+  }
+  return rows;
+}
+
+// Rows of the four optimized tables for one hub group.
+struct BucketRows {
+  TableRows knn_ea;
+  TableRows knn_ld;
+  TableRows otm_ea;
+  TableRows otm_ld;
 };
 
-GroupRows BuildHubGroupRows(std::span<const TargetTuple> by_td, int32_t hub,
-                            const BucketRange& hours, uint32_t kmax,
-                            Duration bucket_seconds) {
-  GroupRows rows;
-
-  // ---- knn_naive rows: one per distinct (hub, td). ----
-  {
-    size_t i = 0;
-    while (i < by_td.size()) {
-      size_t j = i;
-      while (j < by_td.size() && by_td[j].td == by_td[i].td) ++j;
-      // Per distinct target keep its earliest arrival within the group.
-      std::map<int32_t, EventTime> best;
-      for (size_t k = i; k < j; ++k) {
-        const auto [it, inserted] = best.emplace(by_td[k].v, by_td[k].ta);
-        if (!inserted) it->second = std::min(it->second, by_td[k].ta);
-      }
-      const auto top = TopEntries(best, /*ascending=*/true, kmax);
-      std::vector<int32_t> vs;
-      std::vector<int32_t> tas;
-      for (const auto& [ta, v] : top) {
-        vs.push_back(v);
-        tas.push_back(ToStoredTime(ta));
-      }
-      rows.naive.emplace_back(
-          MakeCompositeKey(hub, ToStoredTime(by_td[i].td)),
-          Row{Value(hub), Value(ToStoredTime(by_td[i].td)),
-              Value(std::move(vs)), Value(std::move(tas))});
-      i = j;
-    }
-  }
+BucketRows BuildBucketRows(std::span<const TargetTuple> by_td, int32_t hub,
+                           const BucketRange& hours, uint32_t kmax,
+                           Duration bucket_seconds) {
+  BucketRows rows;
 
   // ---- EA hour buckets (knn_ea + otm_ea). ----
   {
@@ -190,7 +192,7 @@ GroupRows BuildHubGroupRows(std::span<const TargetTuple> by_td, int32_t hub,
       }
       const auto emit =
           [&](const std::vector<std::pair<EventTime, int32_t>>& condensed,
-              std::vector<std::pair<IndexKey, Row>>* out) {
+              TableRows* out) {
             std::vector<int32_t> vs;
             std::vector<int32_t> tas;
             for (const auto& [ta, v] : condensed) {
@@ -256,7 +258,7 @@ GroupRows BuildHubGroupRows(std::span<const TargetTuple> by_td, int32_t hub,
       }
       const auto emit =
           [&](const std::vector<std::pair<EventTime, int32_t>>& condensed,
-              std::vector<std::pair<IndexKey, Row>>* out) {
+              TableRows* out) {
             std::vector<int32_t> vs;
             std::vector<int32_t> tds;
             for (const auto& [td, v] : condensed) {
@@ -275,6 +277,97 @@ GroupRows BuildHubGroupRows(std::span<const TargetTuple> by_td, int32_t hub,
   }
 
   return rows;
+}
+
+void AppendRows(TableRows* dst, TableRows* src) {
+  dst->insert(dst->end(), std::make_move_iterator(src->begin()),
+              std::make_move_iterator(src->end()));
+}
+
+Status CheckSetArgs(const TtlIndex& index, const std::vector<StopId>& targets,
+                    uint32_t kmax) {
+  if (kmax == 0) return Status::InvalidArgument("kmax must be positive");
+  for (const StopId t : targets) {
+    if (t >= index.num_stops()) {
+      return Status::InvalidArgument("target out of range");
+    }
+  }
+  return Status::Ok();
+}
+
+// The targets' L_in tuples sorted by (hub, td, ta, v), cut into one
+// [begin, end) range per hub.
+struct HubGroups {
+  std::vector<TargetTuple> tuples;
+  std::vector<std::pair<size_t, size_t>> bounds;
+
+  size_t size() const { return bounds.size(); }
+  std::span<const TargetTuple> group(size_t g) const {
+    return {tuples.data() + bounds[g].first, tuples.data() + bounds[g].second};
+  }
+};
+
+HubGroups GroupTargetTuples(const TtlIndex& index,
+                            const std::vector<StopId>& targets) {
+  // Set semantics: a duplicated target must not contribute its tuples
+  // twice (the per-hour condensed lists would still dedup by target, but
+  // the naive and expanded arrays would carry duplicate entries into
+  // query answers). The facade canonicalizes too; dedup here as well so
+  // direct callers (SQL writer tests, benchmarks) get the same tables.
+  std::vector<StopId> uniq_targets = targets;
+  std::sort(uniq_targets.begin(), uniq_targets.end());
+  uniq_targets.erase(std::unique(uniq_targets.begin(), uniq_targets.end()),
+                     uniq_targets.end());
+
+  HubGroups out;
+  for (const StopId target : uniq_targets) {
+    for (const LabelTuple& t : index.in.tuples(target)) {
+      out.tuples.push_back({static_cast<int32_t>(t.hub), t.td, t.ta,
+                            static_cast<int32_t>(target)});
+    }
+  }
+  std::sort(out.tuples.begin(), out.tuples.end(),
+            [](const TargetTuple& a, const TargetTuple& b) {
+              return std::tie(a.hub, a.td, a.ta, a.v) <
+                     std::tie(b.hub, b.td, b.ta, b.v);
+            });
+  size_t begin = 0;
+  while (begin < out.tuples.size()) {
+    size_t end = begin;
+    while (end < out.tuples.size() &&
+           out.tuples[end].hub == out.tuples[begin].hub) {
+      ++end;
+    }
+    out.bounds.emplace_back(begin, end);
+    begin = end;
+  }
+  return out;
+}
+
+// Runs `build` once per hub group. Each group's rows depend only on its
+// own tuples, so groups build in parallel into disjoint slots (when
+// num_threads != 1); concatenating the slots in group (= hub) order makes
+// the loaded tables independent of the thread count.
+template <typename Rows, typename Fn>
+std::vector<Rows> BuildPerGroup(const HubGroups& groups, uint32_t num_threads,
+                                EngineDatabase* db, Fn build) {
+  std::vector<Rows> per_group(groups.size());
+  if (num_threads != 1 && groups.size() > 1) {
+    ThreadPool pool(num_threads);
+    pool.ParallelFor(groups.size(), [&](uint32_t, uint64_t g) {
+      per_group[g] = build(groups.group(g));
+    });
+    MetricsRegistry* m = db->metrics();
+    m->counter("threadpool.tasks_executed")->Add(pool.executed());
+    m->counter("threadpool.tasks_stolen")->Add(pool.stolen());
+    m->gauge("threadpool.max_queue_depth")
+        ->Max(static_cast<int64_t>(pool.max_pending()));
+  } else {
+    for (size_t g = 0; g < groups.size(); ++g) {
+      per_group[g] = build(groups.group(g));
+    }
+  }
+  return per_group;
 }
 
 }  // namespace
@@ -323,44 +416,10 @@ Status BuildTargetSetTables(const TtlIndex& index,
                             uint32_t kmax, const std::string& set_name,
                             EngineDatabase* db, Duration bucket_seconds,
                             uint32_t num_threads) {
-  if (kmax == 0) return Status::InvalidArgument("kmax must be positive");
+  PTLDB_RETURN_IF_ERROR(CheckSetArgs(index, targets, kmax));
   if (bucket_seconds <= Duration::Zero()) {
     return Status::InvalidArgument("bucket width must be positive");
   }
-  for (const StopId t : targets) {
-    if (t >= index.num_stops()) {
-      return Status::InvalidArgument("target out of range");
-    }
-  }
-
-  // Set semantics: a duplicated target must not contribute its tuples
-  // twice (the per-hour condensed lists would still dedup by target, but
-  // the naive and expanded arrays would carry duplicate entries into
-  // query answers). The facade canonicalizes too; dedup here as well so
-  // direct callers (SQL writer tests, benchmarks) get the same tables.
-  std::vector<StopId> uniq_targets = targets;
-  std::sort(uniq_targets.begin(), uniq_targets.end());
-  uniq_targets.erase(std::unique(uniq_targets.begin(), uniq_targets.end()),
-                     uniq_targets.end());
-
-  // Flatten and group the targets' L_in tuples by hub.
-  std::vector<TargetTuple> tuples;
-  for (const StopId target : uniq_targets) {
-    for (const LabelTuple& t : index.in.tuples(target)) {
-      tuples.push_back({static_cast<int32_t>(t.hub), t.td, t.ta,
-                        static_cast<int32_t>(target)});
-    }
-  }
-  std::sort(tuples.begin(), tuples.end(),
-            [](const TargetTuple& a, const TargetTuple& b) {
-              return std::tie(a.hub, a.td, a.ta, a.v) <
-                     std::tie(b.hub, b.td, b.ta, b.v);
-            });
-
-  const BucketRange hours = ComputeBucketRange(index, bucket_seconds);
-
-  auto naive =
-      db->CreateTable(NaiveKnnTableName(set_name), NaiveSchema(), 2);
   auto knn_ea = db->CreateTable(KnnEaTableName(set_name),
                                 HourBucketSchema("dephour", "tas"), 2);
   auto knn_ld = db->CreateTable(KnnLdTableName(set_name),
@@ -369,72 +428,46 @@ Status BuildTargetSetTables(const TtlIndex& index,
                                 HourBucketSchema("dephour", "tas"), 2);
   auto otm_ld = db->CreateTable(OtmLdTableName(set_name),
                                 HourBucketSchema("arrhour", "tds"), 2);
-  for (const auto* t :
-       std::initializer_list<const Result<EngineTable*>*>{
-           &naive, &knn_ea, &knn_ld, &otm_ea, &otm_ld}) {
+  for (const auto* t : std::initializer_list<const Result<EngineTable*>*>{
+           &knn_ea, &knn_ld, &otm_ea, &otm_ld}) {
     if (!t->ok()) return t->status();
   }
 
-  // Hub-group boundaries in the sorted tuple vector.
-  struct Group {
-    size_t begin;
-    size_t end;
-  };
-  std::vector<Group> groups;
-  size_t group_begin = 0;
-  while (group_begin < tuples.size()) {
-    size_t group_end = group_begin;
-    while (group_end < tuples.size() &&
-           tuples[group_end].hub == tuples[group_begin].hub) {
-      ++group_end;
-    }
-    groups.push_back({group_begin, group_end});
-    group_begin = group_end;
+  const HubGroups groups = GroupTargetTuples(index, targets);
+  const BucketRange hours = ComputeBucketRange(index, bucket_seconds);
+  std::vector<BucketRows> per_group = BuildPerGroup<BucketRows>(
+      groups, num_threads, db, [&](std::span<const TargetTuple> by_td) {
+        return BuildBucketRows(by_td, by_td.front().hub, hours, kmax,
+                               bucket_seconds);
+      });
+  BucketRows all;
+  for (BucketRows& rows : per_group) {
+    AppendRows(&all.knn_ea, &rows.knn_ea);
+    AppendRows(&all.knn_ld, &rows.knn_ld);
+    AppendRows(&all.otm_ea, &rows.otm_ea);
+    AppendRows(&all.otm_ld, &rows.otm_ld);
   }
-
-  // Each group's rows depend only on its own tuples, so groups build in
-  // parallel into disjoint slots; concatenating in group (= hub) order
-  // makes the loaded tables independent of the thread count.
-  std::vector<GroupRows> per_group(groups.size());
-  const auto build_group = [&](size_t g) {
-    const std::span<const TargetTuple> by_td{tuples.data() + groups[g].begin,
-                                             tuples.data() + groups[g].end};
-    per_group[g] =
-        BuildHubGroupRows(by_td, by_td.front().hub, hours, kmax,
-                          bucket_seconds);
-  };
-  if (num_threads != 1 && groups.size() > 1) {
-    ThreadPool pool(num_threads);
-    pool.ParallelFor(groups.size(),
-                     [&](uint32_t, uint64_t g) { build_group(g); });
-    MetricsRegistry* m = db->metrics();
-    m->counter("threadpool.tasks_executed")->Add(pool.executed());
-    m->counter("threadpool.tasks_stolen")->Add(pool.stolen());
-    m->gauge("threadpool.max_queue_depth")
-        ->Max(static_cast<int64_t>(pool.max_pending()));
-  } else {
-    for (size_t g = 0; g < groups.size(); ++g) build_group(g);
-  }
-
-  GroupRows all;
-  for (GroupRows& rows : per_group) {
-    const auto append = [](std::vector<std::pair<IndexKey, Row>>* dst,
-                           std::vector<std::pair<IndexKey, Row>>* src) {
-      dst->insert(dst->end(), std::make_move_iterator(src->begin()),
-                  std::make_move_iterator(src->end()));
-    };
-    append(&all.naive, &rows.naive);
-    append(&all.knn_ea, &rows.knn_ea);
-    append(&all.knn_ld, &rows.knn_ld);
-    append(&all.otm_ea, &rows.otm_ea);
-    append(&all.otm_ld, &rows.otm_ld);
-  }
-
-  PTLDB_RETURN_IF_ERROR((*naive)->BulkLoad(std::move(all.naive)));
   PTLDB_RETURN_IF_ERROR((*knn_ea)->BulkLoad(std::move(all.knn_ea)));
   PTLDB_RETURN_IF_ERROR((*knn_ld)->BulkLoad(std::move(all.knn_ld)));
   PTLDB_RETURN_IF_ERROR((*otm_ea)->BulkLoad(std::move(all.otm_ea)));
   return (*otm_ld)->BulkLoad(std::move(all.otm_ld));
+}
+
+Status BuildNaiveKnnTable(const TtlIndex& index,
+                          const std::vector<StopId>& targets, uint32_t kmax,
+                          const std::string& set_name, EngineDatabase* db,
+                          uint32_t num_threads) {
+  PTLDB_RETURN_IF_ERROR(CheckSetArgs(index, targets, kmax));
+  auto table = db->CreateTable(NaiveKnnTableName(set_name), NaiveSchema(), 2);
+  PTLDB_RETURN_IF_ERROR(table.status());
+  const HubGroups groups = GroupTargetTuples(index, targets);
+  std::vector<TableRows> per_group = BuildPerGroup<TableRows>(
+      groups, num_threads, db, [&](std::span<const TargetTuple> by_td) {
+        return BuildNaiveRows(by_td, by_td.front().hub, kmax);
+      });
+  TableRows all;
+  for (TableRows& rows : per_group) AppendRows(&all, &rows);
+  return (*table)->BulkLoad(std::move(all));
 }
 
 }  // namespace ptldb

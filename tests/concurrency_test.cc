@@ -1,4 +1,5 @@
-// Concurrency stress tests for the pinned, sharded buffer pool. These are
+// Concurrency stress tests for the pinned, sharded buffer pool and for
+// target-set registration under live readers. These are
 // the tests the TSan CI matrix entry exists for: a deliberately tiny pool
 // (capacity ≈ 2x shard count) makes eviction constant, so many threads
 // reading while others evict exercises the PageGuard pin protocol on
@@ -10,7 +11,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <optional>
+#include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -22,6 +27,8 @@
 #include "engine/device.h"
 #include "engine/pager.h"
 #include "ptldb/ptldb.h"
+#include "ptldb/tables.h"
+#include "sql/interpreter.h"
 #include "timetable/generator.h"
 #include "ttl/builder.h"
 
@@ -32,19 +39,18 @@ constexpr uint32_t kThreads = 8;
 
 /// Pages filled with a per-page byte pattern, so a reader can prove the
 /// frame it dereferences is really the page it fetched.
-PageStore MakePatternedStore(uint64_t num_pages) {
-  PageStore store;
+void FillPatterned(PageStore* store, uint64_t num_pages) {
   for (uint64_t i = 0; i < num_pages; ++i) {
-    const PageId id = store.Allocate();
-    store.page(id).bytes.fill(static_cast<uint8_t>(id * 37 + 11));
+    const PageId id = store->Allocate();
+    store->page(id).bytes.fill(static_cast<uint8_t>(id * 37 + 11));
   }
-  store.StampChecksums();
-  return store;
+  store->StampChecksums();
 }
 
 TEST(BufferPoolConcurrencyTest, TinyPoolEvictionUnderConcurrentReaders) {
   constexpr uint64_t kPages = 64;
-  PageStore store = MakePatternedStore(kPages);
+  PageStore store;
+  FillPatterned(&store, kPages);
   StorageDevice device(DeviceProfile::Ram());
   // Capacity 2x the shard count: every shard holds ~2 frames, so nearly
   // every fetch evicts while other threads hold live guards.
@@ -81,7 +87,8 @@ TEST(BufferPoolConcurrencyTest, TinyPoolEvictionUnderConcurrentReaders) {
 
 TEST(BufferPoolConcurrencyTest, PinnedFramesSurviveConcurrentEvictionStorm) {
   constexpr uint64_t kPages = 64;
-  PageStore store = MakePatternedStore(kPages);
+  PageStore store;
+  FillPatterned(&store, kPages);
   StorageDevice device(DeviceProfile::Ram());
   BufferPool pool(&store, &device, /*capacity_pages=*/2 * kThreads,
                   /*num_shards=*/kThreads / 2);
@@ -215,6 +222,213 @@ TEST(FacadeConcurrencyTest, TinyPoolConcurrentQueriesMatchSerialAnswers) {
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_GT((*db)->Snapshot().counters.at("bufferpool.evictions"), 0u)
       << "pool too big: the stress never evicted";
+}
+
+// AddTargetSet builds outside the facade latch, so registrations run
+// while readers query. Readers on set "t" — facade kNN/OTM and v2v
+// queries, SQL SELECTs over knn_ea_t, and the catalog views size_bytes()
+// and table_names() — must keep getting their serial answers and see
+// only sealed tables; two writers register distinct sets while a third
+// pair races on one name, of which exactly one call may win. The tiny
+// pool keeps readers missing, so they read the PageStore directory while
+// the writers grow it.
+TEST(FacadeConcurrencyTest, RegistrationUnderLoadKeepsReadersExact) {
+  GeneratorOptions o;
+  o.num_stops = 48;
+  o.target_connections = 1200;
+  o.min_route_len = 3;
+  o.max_route_len = 8;
+  o.seed = 20261017;
+  auto tt = GenerateNetwork(o);
+  ASSERT_TRUE(tt.ok());
+  auto index = BuildTtlIndex(*tt);
+  ASSERT_TRUE(index.ok());
+  PtldbOptions opts;
+  opts.device = DeviceProfile::Ram();
+  opts.buffer_pool_shards = 4;
+  opts.buffer_pool_pages = 32;
+  auto built = PtldbDatabase::Build(*index, opts);
+  ASSERT_TRUE(built.ok());
+  PtldbDatabase* db = built->get();
+  Rng trng(7);
+  // Lower case: the SQL lexer folds identifiers.
+  ASSERT_TRUE(
+      db->AddTargetSet("t", *index, trng.SampleDistinct(tt->num_stops(), 10),
+                       /*kmax=*/8)
+          .ok());
+
+  struct Query {
+    StopId s;
+    StopId g;
+    EventTime t;
+    uint32_t k;
+  };
+  constexpr uint32_t kReaders = 3;
+  constexpr int kQueries = 25;
+  const auto schedule = [&](uint32_t tid) {
+    std::vector<Query> qs;
+    Rng rng(tid * 7919 + 5);
+    for (int i = 0; i < kQueries; ++i) {
+      qs.push_back({static_cast<StopId>(rng.NextBelow(tt->num_stops())),
+                    static_cast<StopId>(rng.NextBelow(tt->num_stops())),
+                    EventTime::FromSeconds(
+                        rng.NextInRange(tt->min_time().raw_seconds(),
+                                        tt->max_time().raw_seconds())),
+                    static_cast<uint32_t>(rng.NextInRange(1, 8))});
+    }
+    return qs;
+  };
+  // One reader pass: every answer of a schedule, flattened.
+  struct Answers {
+    std::vector<Result<EventTime>> v2v;
+    std::vector<Result<std::vector<StopTimeResult>>> sets;
+  };
+  const auto run = [&](uint32_t tid) {
+    Answers a;
+    for (const Query& q : schedule(tid)) {
+      a.v2v.push_back(db->EarliestArrival(q.s, q.g, q.t));
+      a.sets.push_back(db->EaKnn("t", q.s, q.t, q.k));
+      a.sets.push_back(db->LdKnn("t", q.s, q.t, q.k));
+      a.sets.push_back(db->EaOneToMany("t", q.s, q.t));
+      a.sets.push_back(db->LdOneToMany("t", q.s, q.t));
+    }
+    return a;
+  };
+  const std::string sql = "SELECT dephour, vs, tas FROM knn_ea_t WHERE hub = $1";
+  const auto run_sql = [&](SqlInterpreter* interp, int64_t hub) {
+    auto r = interp->Execute(sql, {hub});
+    return r.ok() ? std::optional<std::vector<SqlRow>>(r->rows)
+                  : std::nullopt;
+  };
+
+  std::vector<Answers> want;
+  for (uint32_t tid = 0; tid < kReaders; ++tid) want.push_back(run(tid));
+  std::vector<std::optional<std::vector<SqlRow>>> want_sql;
+  {
+    SqlInterpreter interp(db->engine());
+    for (StopId hub = 0; hub < tt->num_stops(); ++hub) {
+      want_sql.push_back(run_sql(&interp, hub));
+      ASSERT_TRUE(want_sql.back().has_value());
+    }
+  }
+
+  std::atomic<bool> writers_done{false};
+  std::atomic<uint64_t> mismatches{0};
+  std::atomic<uint64_t> passes{0};
+  const auto same = [](const auto& got, const auto& expect) {
+    if (got.ok() != expect.ok()) return false;
+    return !got.ok() || *got == *expect;
+  };
+  std::vector<std::thread> readers;
+  for (uint32_t tid = 0; tid < kReaders; ++tid) {
+    readers.emplace_back([&, tid] {
+      do {
+        const Answers got = run(tid);
+        for (size_t i = 0; i < got.v2v.size(); ++i) {
+          if (!same(got.v2v[i], want[tid].v2v[i])) mismatches.fetch_add(1);
+        }
+        for (size_t i = 0; i < got.sets.size(); ++i) {
+          if (!same(got.sets[i], want[tid].sets[i])) mismatches.fetch_add(1);
+        }
+        passes.fetch_add(1);
+      } while (!writers_done.load());
+    });
+  }
+  readers.emplace_back([&] {
+    SqlInterpreter interp(db->engine());
+    do {
+      for (StopId hub = 0; hub < tt->num_stops(); ++hub) {
+        if (run_sql(&interp, hub) != want_sql[hub]) mismatches.fetch_add(1);
+      }
+      passes.fetch_add(1);
+    } while (!writers_done.load());
+  });
+  std::atomic<uint64_t> catalog_errors{0};
+  readers.emplace_back([&] {
+    const std::set<std::string> base = {"lout", "lin", "knn_ea_t",
+                                        "knn_ld_t", "otm_ea_t", "otm_ld_t"};
+    uint64_t last_size = 0;
+    do {
+      const uint64_t size = db->size_bytes();
+      if (size < last_size) catalog_errors.fetch_add(1);
+      last_size = size;
+      const std::vector<std::string> names = db->engine()->table_names();
+      const std::set<std::string> listed(names.begin(), names.end());
+      for (const std::string& name : base) {
+        if (listed.count(name) == 0) catalog_errors.fetch_add(1);
+      }
+      for (const std::string& name : names) {
+        const EngineTable* table = db->engine()->FindTable(name);
+        if (table == nullptr || !table->sealed()) catalog_errors.fetch_add(1);
+      }
+      passes.fetch_add(1);
+    } while (!writers_done.load());
+  });
+
+  // A set answers correctly as soon as its AddTargetSet returns.
+  std::atomic<uint64_t> wrong_new_sets{0};
+  const auto check_set = [&](const std::string& name,
+                             const std::vector<StopId>& targets) {
+    Rng rng(std::hash<std::string>{}(name));
+    for (int i = 0; i < 6; ++i) {
+      const auto q = static_cast<StopId>(rng.NextBelow(tt->num_stops()));
+      const EventTime t = EventTime::FromSeconds(rng.NextInRange(
+          tt->min_time().raw_seconds(), tt->max_time().raw_seconds()));
+      const auto ea = db->EaOneToMany(name, q, t);
+      const auto ld = db->LdOneToMany(name, q, t);
+      if (!ea.ok() || *ea != BruteEaOneToMany(*tt, q, targets, t) ||
+          !ld.ok() || *ld != BruteLdOneToMany(*tt, q, targets, t)) {
+        wrong_new_sets.fetch_add(1);
+      }
+    }
+  };
+  std::vector<std::thread> writers;
+  std::atomic<uint64_t> register_errors{0};
+  for (const char* prefix : {"wa", "wb"}) {
+    writers.emplace_back([&, prefix] {
+      Rng rng(std::hash<std::string>{}(prefix));
+      for (int j = 0; j < 2; ++j) {
+        const std::string name = prefix + std::to_string(j);
+        const auto targets = rng.SampleDistinct(tt->num_stops(), 8);
+        if (!db->AddTargetSet(name, *index, targets, 4).ok()) {
+          register_errors.fetch_add(1);
+          continue;
+        }
+        check_set(name, targets);
+      }
+    });
+  }
+  std::atomic<uint32_t> at_gate{0};
+  std::vector<Status> race(2);
+  std::vector<std::vector<StopId>> race_targets = {
+      trng.SampleDistinct(tt->num_stops(), 6),
+      trng.SampleDistinct(tt->num_stops(), 6)};
+  for (uint32_t i = 0; i < 2; ++i) {
+    writers.emplace_back([&, i] {
+      at_gate.fetch_add(1);
+      while (at_gate.load() < 2) std::this_thread::yield();
+      race[i] = db->AddTargetSet("same", *index, race_targets[i], 4);
+      if (race[i].ok()) check_set("same", race_targets[i]);
+    });
+  }
+  for (auto& th : writers) th.join();
+  writers_done.store(true);
+  for (auto& th : readers) th.join();
+
+  EXPECT_EQ(register_errors.load(), 0u);
+  EXPECT_EQ(wrong_new_sets.load(), 0u);
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(catalog_errors.load(), 0u);
+  EXPECT_GE(passes.load(), kReaders + 2);
+  EXPECT_NE(race[0].ok(), race[1].ok())
+      << race[0].ToString() << " / " << race[1].ToString();
+  for (const Status& s : race) {
+    if (!s.ok()) {
+      EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
+    }
+  }
+  const auto sets = db->target_sets();
+  EXPECT_EQ(sets.size(), 6u);  // t, wa0, wa1, wb0, wb1, same.
 }
 
 }  // namespace

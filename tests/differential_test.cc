@@ -374,6 +374,7 @@ TEST(DifferentialTest, NaiveKnnPlansMatchOracles) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const Network net = MakeNetwork(seed);
     auto db = MakeDb(net.index, net.targets, kMaxK);
+    ASSERT_TRUE(db->AddNaiveKnnTable("t", net.index).ok());
     Rng rng(seed * 0x2545F4914F6CDD1DULL + 3);
     for (int trial = 0; trial < 6; ++trial) {
       const StopId q = static_cast<StopId>(rng.NextBelow(net.tt.num_stops()));

@@ -701,10 +701,81 @@ TEST(HeapFileTest, GarbageLocatorIsCorruptionNotCrash) {
 
 TEST(EngineDatabaseTest, RejectsDuplicateTable) {
   EngineDatabase db(DeviceProfile::Ram());
-  ASSERT_TRUE(db.CreateTable("x", Schema{{"a", ColumnType::kInt32}}).ok());
+  auto table = db.CreateTable("x", Schema{{"a", ColumnType::kInt32}});
+  ASSERT_TRUE(table.ok());
+  // The name is taken at creation, before the table is loaded...
   EXPECT_FALSE(db.CreateTable("x", Schema{{"a", ColumnType::kInt32}}).ok());
+  // ...but readers see the table only once BulkLoad has sealed it.
+  EXPECT_EQ(db.FindTable("x"), nullptr);
+  ASSERT_TRUE((*table)->BulkLoad({}).ok());
   EXPECT_NE(db.FindTable("x"), nullptr);
   EXPECT_EQ(db.FindTable("y"), nullptr);
+}
+
+// A loading table is invisible to every catalog reader: FindTable,
+// table_names() and total_size_bytes() (what the SQL interpreter and
+// PtldbDatabase::size_bytes() see).
+TEST(EngineDatabaseTest, TableIsPublishedOnlyAfterBulkLoad) {
+  EngineDatabase db(DeviceProfile::Ram());
+  const Schema schema{{"a", ColumnType::kInt32},
+                      {"b", ColumnType::kInt32Array}};
+  auto table = db.CreateTable("x", schema);
+  ASSERT_TRUE(table.ok());
+  EXPECT_FALSE((*table)->sealed());
+  EXPECT_TRUE(db.table_names().empty());
+  EXPECT_EQ(db.total_size_bytes(), 0u);
+  std::vector<std::pair<IndexKey, Row>> rows;
+  for (int32_t i = 0; i < 50; ++i) {
+    rows.emplace_back(i, Row{Value(i), Value(std::vector<int32_t>(300, i))});
+  }
+  ASSERT_TRUE((*table)->BulkLoad(std::move(rows)).ok());
+  EXPECT_TRUE((*table)->sealed());
+  EXPECT_EQ(db.FindTable("x"), *table);
+  EXPECT_EQ(db.table_names(), std::vector<std::string>{"x"});
+  EXPECT_EQ(db.total_size_bytes(), (*table)->size_bytes());
+  // A sealed table is immutable.
+  EXPECT_FALSE((*table)->BulkLoad({}).ok());
+}
+
+// Each BulkLoad leaves every page its table wrote stamped, and a later
+// table's load never re-stamps (and so heals) an earlier table's page:
+// latent corruption there still surfaces as kCorruption.
+TEST(EngineDatabaseTest, BulkLoadStampsItsPagesAndKeepsEarlierStamps) {
+  EngineDatabase db(DeviceProfile::Ram());
+  const Schema schema{{"a", ColumnType::kInt32},
+                      {"b", ColumnType::kInt32Array}};
+  PageStore* store = db.page_store();
+  const auto load = [&](const std::string& name) {
+    auto table = db.CreateTable(name, schema);
+    EXPECT_TRUE(table.ok());
+    std::vector<std::pair<IndexKey, Row>> rows;
+    for (int32_t i = 0; i < 40; ++i) {
+      rows.emplace_back(i, Row{Value(i), Value(std::vector<int32_t>(900, i))});
+    }
+    const PageId first = store->num_pages();
+    EXPECT_TRUE((*table)->BulkLoad(std::move(rows)).ok());
+    const PageId end = store->num_pages();
+    EXPECT_EQ(end - first, (*table)->heap_pages() + (*table)->index_pages());
+    for (PageId id = first; id < end; ++id) {
+      EXPECT_TRUE(store->stamped(id)) << name << " page " << id;
+    }
+    return *table;
+  };
+  const EngineTable* a = load("a");
+  ASSERT_GT(store->num_pages(), 2u);
+  store->CorruptBitForTest(/*id=*/1, /*bit=*/8 * 64 + 2);
+  load("b");
+  // Page 1 is one of a's heap pages (its 3.6 KB rows fill ~18 pages
+  // before the index), so the rows on it must now fail verification.
+  bool saw_corruption = false;
+  for (IndexKey key = 0; key < 40; ++key) {
+    const auto row = a->Get(key, db.buffer_pool());
+    if (!row.ok()) {
+      EXPECT_EQ(row.status().code(), Status::Code::kCorruption);
+      saw_corruption = true;
+    }
+  }
+  EXPECT_TRUE(saw_corruption);
 }
 
 TEST(EngineDatabaseTest, BulkLoadValidatesKeysAndArity) {

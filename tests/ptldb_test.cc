@@ -85,6 +85,7 @@ class PtldbExampleTest : public testing::Test {
     index_ = BuildIndex(tt_, options);
     db_ = BuildDb(index_);
     EXPECT_TRUE(db_->AddTargetSet("t46", index_, {4, 6}, /*kmax=*/2).ok());
+    EXPECT_TRUE(db_->AddNaiveKnnTable("t46", index_).ok());
   }
 
   Timetable tt_;
@@ -168,6 +169,53 @@ TEST_F(PtldbExampleTest, LdQueriesOnExample) {
   for (size_t i = 0; i < otm->size(); ++i) EXPECT_EQ((*otm)[i], brute[i]);
 }
 
+// ---------- The Code 2 naive table is built on request ----------
+
+// Registration builds only the four optimized tables. Until
+// AddNaiveKnnTable runs, the naive baselines fail with kNotFound naming
+// the call — never an OK empty answer.
+TEST(PtldbNaiveTableTest, NaiveKnnBeforeAddNaiveKnnTableIsNotFound) {
+  const Timetable tt = SmallCity(47);
+  const TtlIndex index = BuildIndex(tt);
+  auto db = BuildDb(index);
+  Rng rng(15);
+  ASSERT_TRUE(db->AddTargetSet("T", index,
+                               rng.SampleDistinct(tt.num_stops(), 6), 4)
+                  .ok());
+  EXPECT_EQ(db->engine()->FindTable(NaiveKnnTableName("T")), nullptr);
+  for (const auto& r : {db->EaKnnNaive("T", 0, tt.min_time(), 2),
+                        db->LdKnnNaive("T", 0, tt.max_time(), 2)}) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), Status::Code::kNotFound);
+    EXPECT_NE(r.status().message().find("AddNaiveKnnTable"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+  ASSERT_TRUE(db->AddNaiveKnnTable("T", index).ok());
+  EXPECT_NE(db->engine()->FindTable(NaiveKnnTableName("T")), nullptr);
+  EXPECT_TRUE(db->EaKnnNaive("T", 0, tt.min_time(), 2).ok());
+  EXPECT_TRUE(db->LdKnnNaive("T", 0, tt.max_time(), 2).ok());
+}
+
+TEST(PtldbNaiveTableTest, RejectsUnknownSetAndSecondBuild) {
+  const Timetable tt = SmallCity(48);
+  const TtlIndex index = BuildIndex(tt);
+  auto db = BuildDb(index);
+  Rng rng(16);
+  ASSERT_TRUE(db->AddTargetSet("T", index,
+                               rng.SampleDistinct(tt.num_stops(), 6), 4)
+                  .ok());
+  EXPECT_EQ(db->AddNaiveKnnTable("nope", index).code(),
+            Status::Code::kNotFound);
+  const uint64_t before = db->size_bytes();
+  ASSERT_TRUE(db->AddNaiveKnnTable("T", index).ok());
+  const uint64_t with_naive = db->size_bytes();
+  EXPECT_GT(with_naive, before);
+  EXPECT_EQ(db->AddNaiveKnnTable("T", index).code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(db->size_bytes(), with_naive);
+}
+
 TEST_F(PtldbExampleTest, ValidatesTargetSetUsage) {
   EXPECT_FALSE(db_->EaKnn("nope", 0, TSec(0), 1).ok());
   EXPECT_FALSE(db_->EaKnn("t46", 0, TSec(0), 3).ok());  // k > kmax.
@@ -197,6 +245,7 @@ TEST_P(PtldbSweepTest, AllQueriesMatchGroundTruth) {
       2, static_cast<uint32_t>(param.density * tt.num_stops()));
   std::vector<StopId> targets = rng.SampleDistinct(tt.num_stops(), num_targets);
   ASSERT_TRUE(db->AddTargetSet("T", index, targets, param.kmax).ok());
+  ASSERT_TRUE(db->AddNaiveKnnTable("T", index).ok());
 
   const EventTime lo = tt.min_time();
   const EventTime hi = tt.max_time();
@@ -238,6 +287,14 @@ TEST_P(PtldbSweepTest, AllQueriesMatchGroundTruth) {
       const auto ld_naive = db->LdKnnNaive("T", q, t, k);
       ASSERT_TRUE(ld_naive.ok());
       ExpectKnnValid(*ld_naive, ld_full, k, "LD-kNN-naive");
+      // EA: both plans order ties by stop id, so they agree exactly. LD:
+      // the naive table keeps each row's k earliest arrivals, so at the
+      // k-th place it may pick another stop with the same departure time.
+      EXPECT_EQ(*ea_naive, *ea);
+      ASSERT_EQ(ld_naive->size(), ld->size());
+      for (size_t i = 0; i < ld->size(); ++i) {
+        EXPECT_EQ((*ld_naive)[i].time, (*ld)[i].time);
+      }
     }
 
     // One-to-many must match exactly (no tie truncation).
@@ -526,6 +583,7 @@ TEST(PtldbEdgeTest, KnnWithKLargerThanTargetSet) {
   Rng rng(12);
   const std::vector<StopId> targets = rng.SampleDistinct(tt.num_stops(), 5);
   ASSERT_TRUE(db->AddTargetSet("T", index, targets, 8).ok());
+  ASSERT_TRUE(db->AddNaiveKnnTable("T", index).ok());
   for (int trial = 0; trial < 20; ++trial) {
     const StopId q = static_cast<StopId>(rng.NextBelow(tt.num_stops()));
     const auto t = TSec(rng.NextInRange(tt.min_time().raw_seconds(),
@@ -586,6 +644,7 @@ TEST(PtldbEdgeTest, QueryStopInsideTargetSet) {
   Rng rng(14);
   const std::vector<StopId> targets = rng.SampleDistinct(tt.num_stops(), 8);
   ASSERT_TRUE(db->AddTargetSet("T", index, targets, 4).ok());
+  ASSERT_TRUE(db->AddNaiveKnnTable("T", index).ok());
   for (const StopId q : targets) {
     for (int trial = 0; trial < 5; ++trial) {
       const auto t = TSec(rng.NextInRange(tt.min_time().raw_seconds(),

@@ -125,11 +125,19 @@ TEST(PtldbServerTest, SubmitAfterShutdownAnswersOverloaded) {
   EXPECT_EQ(resp.status.code(), Status::Code::kOverloaded);
 }
 
-// The tentpole property: at a sustained ~4x-capacity flood of expensive
-// (kNN) requests, the expensive class is rejected fast and explicitly
+// The tentpole property: under a flood of expensive (kNN) requests far
+// beyond capacity, the expensive class is rejected fast and explicitly
 // with kOverloaded while concurrently offered interactive (v2v EA)
 // traffic keeps >= 99% availability — overload degrades service
 // gracefully instead of collapsing it.
+//
+// The flood is deterministic rather than a wall-clock race: each round
+// parks both workers in a response callback, offers 4x the expensive
+// class's 8-slot queue reserve plus some interactive requests, and only
+// then lets the workers drain the queue. So at most 8 expensive requests
+// per round can be admitted (and answered OK), at least 24 are shed, and
+// every interactive request finds room — however the threads happen to
+// be scheduled.
 TEST(PtldbServerTest, ExpensiveFloodShedsWhileInteractiveHolds) {
   auto db = MakeDb(/*pool_pages=*/32);
   const Timetable& tt = SharedFixture().tt;
@@ -145,17 +153,48 @@ TEST(PtldbServerTest, ExpensiveFloodShedsWhileInteractiveHolds) {
   so.expensive_admit_fraction = 0.5;
   PtldbServer server(db.get(), so);
 
-  std::atomic<bool> stop_flood{false};
+  constexpr int kRounds = 10;
+  constexpr int kFloodPerRound = 32;       // 4x the expensive reserve.
+  constexpr int kInteractivePerRound = 5;  // Fits the interactive headroom.
+  constexpr int kInteractive = kRounds * kInteractivePerRound;
   std::atomic<uint64_t> exp_submitted{0};
   std::atomic<uint64_t> exp_ok{0};
   std::atomic<uint64_t> exp_shed{0};
   std::atomic<uint64_t> exp_other{0};
   std::atomic<uint64_t> exp_responded{0};
-  std::thread flood([&] {
-    Rng rng(31);
-    while (!stop_flood.load(std::memory_order_relaxed)) {
+  std::atomic<uint64_t> int_ok{0};
+  std::atomic<uint64_t> int_responded{0};
+  const auto wait_for = [](const auto& done) {
+    const auto deadline = Clock::now() + std::chrono::seconds(30);
+    while (!done()) {
+      if (Clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return true;
+  };
+  Rng flood_rng(31);
+  Rng int_rng(32);
+  for (int round = 0; round < kRounds; ++round) {
+    // Park both workers. The queue is empty and both workers idle, so
+    // each blocker goes to a different worker.
+    std::atomic<int> parked{0};
+    std::atomic<int> unparked{0};
+    std::atomic<bool> gate_open{false};
+    for (uint32_t w = 0; w < so.num_workers; ++w) {
+      server.Submit(V2vRequest(&int_rng, tt), [&](QueryResponse) {
+        parked.fetch_add(1);
+        while (!gate_open.load()) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+        unparked.fetch_add(1);
+      });
+    }
+    ASSERT_TRUE(wait_for([&] { return parked.load() == 2; }))
+        << "workers never parked in round " << round;
+
+    for (int i = 0; i < kFloodPerRound; ++i) {
       exp_submitted.fetch_add(1, std::memory_order_relaxed);
-      server.Submit(KnnRequest(&rng, tt), [&](QueryResponse resp) {
+      server.Submit(KnnRequest(&flood_rng, tt), [&](QueryResponse resp) {
         if (resp.status.ok()) {
           exp_ok.fetch_add(1, std::memory_order_relaxed);
         } else if (resp.status.code() == Status::Code::kOverloaded) {
@@ -165,39 +204,21 @@ TEST(PtldbServerTest, ExpensiveFloodShedsWhileInteractiveHolds) {
         }
         exp_responded.fetch_add(1, std::memory_order_relaxed);
       });
-      // Full-tilt flood: rejections return instantly, so the offered
-      // expensive rate is bounded only by this loop — far beyond any
-      // service rate. Yield (plus a periodic real sleep) so the worker
-      // threads still get cycles on single-core machines.
-      if (exp_submitted.load(std::memory_order_relaxed) % 64 == 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      } else {
-        std::this_thread::yield();
-      }
     }
-  });
-
-  // Interactive traffic offered well within its reserved headroom.
-  constexpr int kInteractive = 50;
-  std::atomic<uint64_t> int_ok{0};
-  std::atomic<uint64_t> int_responded{0};
-  Rng rng(32);
-  for (int i = 0; i < kInteractive; ++i) {
-    server.Submit(V2vRequest(&rng, tt), [&](QueryResponse resp) {
-      if (resp.status.ok()) int_ok.fetch_add(1, std::memory_order_relaxed);
-      int_responded.fetch_add(1, std::memory_order_relaxed);
-    });
-    std::this_thread::sleep_for(milliseconds(5));
-  }
-  stop_flood.store(true, std::memory_order_relaxed);
-  flood.join();
-
-  // Every submission is answered exactly once (Shutdown drains the rest).
-  const auto deadline = Clock::now() + std::chrono::seconds(30);
-  while (int_responded.load() < kInteractive ||
-         exp_responded.load() < exp_submitted.load()) {
-    ASSERT_LT(Clock::now(), deadline) << "server wedged under flood";
-    std::this_thread::sleep_for(milliseconds(1));
+    for (int i = 0; i < kInteractivePerRound; ++i) {
+      server.Submit(V2vRequest(&int_rng, tt), [&](QueryResponse resp) {
+        if (resp.status.ok()) int_ok.fetch_add(1, std::memory_order_relaxed);
+        int_responded.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+    gate_open.store(true);
+    // Every submission is answered exactly once before the next round.
+    const auto want_int =
+        static_cast<uint64_t>((round + 1) * kInteractivePerRound);
+    ASSERT_TRUE(wait_for([&] {
+      return unparked.load() == 2 && int_responded.load() == want_int &&
+             exp_responded.load() == exp_submitted.load();
+    })) << "server wedged under flood in round " << round;
   }
   server.Shutdown();
 

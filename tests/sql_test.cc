@@ -239,6 +239,7 @@ class SqlPaperQueriesTest : public testing::Test {
     Rng rng(9);
     targets_ = rng.SampleDistinct(tt_.num_stops(), 10);
     EXPECT_TRUE(db_->AddTargetSet("poi", index_, targets_, 4).ok());
+    EXPECT_TRUE(db_->AddNaiveKnnTable("poi", index_).ok());
   }
 
   int64_t ScalarOrDefault(const SqlRelation& relation, int64_t fallback) {
@@ -445,6 +446,7 @@ class SqlExampleGoldenTest : public testing::Test {
     db_ = std::move(PtldbDatabase::Build(index_, popts)).value();
     targets_ = {3, 6};
     EXPECT_TRUE(db_->AddTargetSet("poi", index_, targets_, kKmax).ok());
+    EXPECT_TRUE(db_->AddNaiveKnnTable("poi", index_).ok());
   }
 
   int64_t Scalar(const SqlRelation& relation, int64_t fallback) {
@@ -796,6 +798,9 @@ class SqlSystemTableTest : public testing::Test {
     PtldbOptions popts;
     popts.device = DeviceProfile::Ram();
     popts.query_log.sample_every = 0;  // Deterministic retention only.
+    // No request here is slow, even in a sanitizer build where the first
+    // cold query can take over the default 1 ms floor.
+    popts.query_log.slow_floor_ns = 10'000'000'000;
     db_ = std::move(PtldbDatabase::Build(index_, popts)).value();
     PtldbDatabase* raw = db_.get();
     catalog_ = std::make_unique<SystemTableCatalog>(
