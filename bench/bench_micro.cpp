@@ -402,6 +402,11 @@ int RunJsonMode(const std::string& path, uint32_t concurrency) {
         const auto q = static_cast<StopId>(r.NextBelow(tt.num_stops()));
         (void)db->EaKnn("T", q, tt.min_time(), 4);
       });
+  const int64_t vm_ld_knn_allocs =
+      warm_vm("ld_knn_warm_vm", 0x1a7e5eedull, [&](Rng& r) {
+        const auto q = static_cast<StopId>(r.NextBelow(tt.num_stops()));
+        (void)db->LdKnn("T", q, tt.max_time(), 4);
+      });
   db->query_log()->set_enabled(true);
 
   if (concurrency > 1) {
@@ -432,10 +437,12 @@ int RunJsonMode(const std::string& path, uint32_t concurrency) {
       static_cast<int64_t>(std::thread::hardware_concurrency());
   // Allocation-probe totals across the measured warm VM batches (query
   // log off). The checker divides by the query count and enforces the
-  // arena contract: v2v exactly zero, kNN at most the result vector.
+  // arena contract: v2v exactly zero, EA and LD kNN at most the result
+  // vector.
   record.metrics.gauges["bench.vm_warm_queries"] = kVmQueries;
   record.metrics.gauges["bench.vm_v2v_warm_allocs"] = vm_v2v_allocs;
   record.metrics.gauges["bench.vm_knn_warm_allocs"] = vm_knn_allocs;
+  record.metrics.gauges["bench.vm_ld_knn_warm_allocs"] = vm_ld_knn_allocs;
   const Status s = WriteBenchJson(record, path);
   if (!s.ok()) {
     std::fprintf(stderr, "--json: %s\n", s.ToString().c_str());

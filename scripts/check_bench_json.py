@@ -324,12 +324,12 @@ def check_observability_overhead(path, record):
 def check_vm_allocations(path, record):
     """Gates the arena contract of the compiled register VM (DESIGN.md §13)
     on a bench_micro record: across the measured warm VM batches
-    (v2v_ea_warm_vm, ea_knn_warm_vm; query log off), the bench's
-    allocation probe must report zero heap allocations for v2v and at most
-    3 per query for kNN (the materialized result vector).
+    (v2v_ea_warm_vm, ea_knn_warm_vm, ld_knn_warm_vm; query log off), the
+    bench's allocation probe must report zero heap allocations for v2v and
+    at most 3 per query for EA and LD kNN (the materialized result vector).
     """
     phases = {p["name"]: p for p in record["phases"]}
-    for name in ("v2v_ea_warm_vm", "ea_knn_warm_vm"):
+    for name in ("v2v_ea_warm_vm", "ea_knn_warm_vm", "ld_knn_warm_vm"):
         phase = phases.get(name)
         if phase is None:
             fail(path, f"warm VM phase {name!r} missing")
@@ -342,16 +342,19 @@ def check_vm_allocations(path, record):
         fail(path, "bench.vm_warm_queries missing — allocation probe absent")
     v2v_allocs = gauges.get("bench.vm_v2v_warm_allocs", -1)
     knn_allocs = gauges.get("bench.vm_knn_warm_allocs", -1)
+    ld_knn_allocs = gauges.get("bench.vm_ld_knn_warm_allocs", -1)
     if v2v_allocs != 0:
         fail(path, f"warm compiled v2v made {v2v_allocs} heap allocations "
                    f"over {queries} queries — the arena contract requires "
                    "zero")
-    if knn_allocs < 0 or knn_allocs > 3 * queries:
-        fail(path, f"warm compiled kNN made {knn_allocs} heap allocations "
-                   f"over {queries} queries — more than the 3/query budget "
-                   "for the materialized result")
+    for label, allocs in (("EA kNN", knn_allocs), ("LD kNN", ld_knn_allocs)):
+        if allocs < 0 or allocs > 3 * queries:
+            fail(path, f"warm compiled {label} made {allocs} heap "
+                       f"allocations over {queries} queries — more than the "
+                       "3/query budget for the materialized result")
     print(f"{path}: warm VM allocations ok — v2v {v2v_allocs}, "
-          f"kNN {knn_allocs} over {queries} queries each")
+          f"EA kNN {knn_allocs}, LD kNN {ld_knn_allocs} over {queries} "
+          "queries each")
 
 
 def main():

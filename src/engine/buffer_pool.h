@@ -186,6 +186,13 @@ class BufferPool {
                                   std::to_string(store_->num_pages()) +
                                   " pages)");
       }
+      // A miss costs a device read, far more than a clock read, so it
+      // checks the deadline every time instead of on the strided schedule
+      // of the loop checkpoints: a query whose few fetches are all misses
+      // still stops within one read of its deadline.
+      if (const QueryContext* ctx = CurrentQueryContext()) {
+        PTLDB_RETURN_IF_ERROR(ctx->Check());
+      }
       // Make room before reading: evict from the LRU tail, skipping
       // pinned frames. If every frame is pinned the pins belong to
       // in-flight guards that are normally released within microseconds,

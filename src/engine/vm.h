@@ -33,7 +33,10 @@ class EngineTable;
 /// per bucket probed or naive row read, and per candidate tuple examined
 /// — alongside the same index_seeks / tuples_scanned / hubs_merged /
 /// label_comparisons the interpreter maintains, so facade span stats
-/// equal engine counters exactly.
+/// equal engine counters exactly. The bucket scans probe once per hub of
+/// the n1 label, not once per tuple as Codes 3/4 join (the dominance
+/// argument is in compiled.cc), so a set query's vm_steps count one unit
+/// per hub probed.
 enum class VmOp : uint8_t {
   kHalt = 0,       ///< End of program.
   kLoadOut,        ///< r[a] = outbound label of the query source stop.
@@ -41,8 +44,8 @@ enum class VmOp : uint8_t {
   kMergeEa,        ///< result = EA common-hub merge of r[a], r[b].
   kMergeLd,        ///< result = LD common-hub merge of r[a], r[b].
   kMergeSd,        ///< result = SD common-hub merge of r[a], r[b].
-  kScanEaBuckets,  ///< Fused Code-3 scan: r[a] n1 label x EA bucket rows.
-  kScanLdBuckets,  ///< Fused Code-4 scan: r[a] n1 label x LD bucket rows.
+  kScanEaBuckets,  ///< Fused Code-3 scan: one EA bucket probe per r[a] hub.
+  kScanLdBuckets,  ///< Fused Code-4 scan: one LD bucket probe per r[a] hub.
   kScanEaNaive,    ///< Code-2 scan: r[a] n1 label x knn_naive range, EA.
   kScanLdNaive,    ///< Code-2 scan: r[a] n1 label x knn_naive range, LD.
   kEmitTopK,       ///< Drain aggregate, sort (a: 0=time asc, 1=desc), cut k.

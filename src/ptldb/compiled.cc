@@ -99,12 +99,21 @@ void AggMax(ArenaInt32Map* agg, int32_t v, int32_t value) {
   *slot = std::max(*slot, value);
 }
 
-// Fused Code 3 scan (one kScanEaBuckets instruction): for every n1 label
-// tuple departing at or after t, probe the (hub, dephour) bucket row and
-// fold both branches — the condensed top-k columns and the expanded
-// in-bucket tuples with the l1.ta <= l2.td feasibility check — into the
-// global per-stop minimum. Step accounting: one vm_step per probe and
-// one per candidate element examined.
+// Fused Code 3 scan (one kScanEaBuckets instruction), one bucket probe
+// per hub. Code 3 joins every n1 tuple departing at or after t with its
+// (hub, dephour) bucket row. Here each hub group of n1 probes once, with
+// ta_min, the earliest arrival among the group's tuples departing at or
+// after t, and that probe dominates the others: a tuple arriving at
+// ta >= ta_min can board only bucket tuples with l2.td >= ta, a subset of
+// what ta_min can board, and its later bucket row condenses only
+// departures that ta_min's row condenses or lists expanded. So the
+// per-stop minimum (OTM) is Code 3's exactly, and each stop of the top-k
+// answer still reaches the aggregate through the first k condensed
+// entries of its best hub. ta_min is a linear min over the group, exact
+// whatever its ta order. Both branches fold into the global per-stop
+// minimum, the expanded one with the ta_min <= l2.td feasibility check.
+// Step accounting: one vm_step per hub probed and one per candidate
+// element examined.
 Status ScanEaBuckets(EngineDatabase* db, const VmProgram& prog,
                      const LabelRowView& n1, EventTime t, uint32_t k,
                      ArenaInt32Map* agg, RowScratch* scratch) {
@@ -113,13 +122,21 @@ Status ScanEaBuckets(EngineDatabase* db, const VmProgram& prog,
   // The query bound narrows saturating once; the scan then compares
   // stored int32 columns against a stored bound (see time_types.h).
   const StoredTime td_min = SaturatingToStoredTime(t);
-  for (size_t i = 0; i < n1.size(); ++i) {
+  for (size_t lo = 0, hi = 0; lo < n1.size(); lo = hi) {
     PTLDB_RETURN_IF_ERROR(CheckQueryCheckpoint());
-    if (n1.tds[i] < td_min) continue;
+    hi = HubGroupEnd(n1.hubs, lo);
+    size_t best = hi;
+    for (size_t i = lo; i < hi; ++i) {
+      if (n1.tds[i] >= td_min && (best == hi || n1.tas[i] < n1.tas[best])) {
+        best = i;
+      }
+    }
+    if (best == hi) continue;  // No tuple of this hub departs at or after t.
+    const int32_t ta_min = n1.tas[best];
     ++counters.vm_steps;
     auto found = prog.buckets->GetInto(
-        MakeCompositeKey(n1.hubs[i],
-                         StoredBucketOf(n1.tas[i], prog.bucket_seconds)),
+        MakeCompositeKey(n1.hubs[best],
+                         StoredBucketOf(ta_min, prog.bucket_seconds)),
         pool, scratch);
     PTLDB_RETURN_IF_ERROR(found.status());
     if (!*found) continue;
@@ -136,7 +153,7 @@ Status ScanEaBuckets(EngineDatabase* db, const VmProgram& prog,
     // Branch B: expanded in-bucket tuples, still checking l1.ta <= l2.td.
     for (size_t j = 0; j < row.tds_exp.size(); ++j) {
       ++counters.vm_steps;
-      if (n1.tas[i] <= row.tds_exp[j]) {
+      if (ta_min <= row.tds_exp[j]) {
         AggMin(agg, row.vs_exp[j], row.tas_exp[j]);
       }
     }
@@ -144,11 +161,31 @@ Status ScanEaBuckets(EngineDatabase* db, const VmProgram& prog,
   return Status::Ok();
 }
 
-// Fused Code 4 scan: every n1 tuple probes the single arrival-hour
-// bucket; both branches require the label departure to be boardable
-// (l2.td >= l1.ta), branch B additionally l2.ta <= t. The aggregated
-// value is the n1 departure time (the answer of an LD query is when to
-// leave, not when to arrive).
+// The latest n1.td among the tuples of hub group [lo, hi) that arrive at
+// or before `l2_td`, i.e. can board a bucket departure at l2_td; false
+// when none can. A linear max, exact whatever the group's ta order.
+bool LatestBoarding(const LabelRowView& n1, size_t lo, size_t hi,
+                    int32_t l2_td, int32_t* td) {
+  bool any = false;
+  // analyzer: bounded(one hub group; ScanLdBuckets checkpoints per hub)
+  for (size_t i = lo; i < hi; ++i) {
+    if (n1.tas[i] <= l2_td && (!any || n1.tds[i] > *td)) {
+      *td = n1.tds[i];
+      any = true;
+    }
+  }
+  return any;
+}
+
+// Fused Code 4 scan, one bucket probe per hub. Every n1 tuple of a hub
+// probes the same (hub, arrhour) row, so the row is read once and each
+// bucket element folds what Code 4's per-tuple join folds for it: the
+// latest n1.td among the hub's tuples that can board it (n1.ta <= l2.td;
+// branch B additionally needs l2.ta <= t). The aggregated value is the n1
+// departure time (an LD query answers when to leave, not when to
+// arrive). The fold is a linear max over the group, so it is exact
+// whatever the group's ta order. Step accounting: one vm_step per hub
+// probed and one per candidate element examined.
 Status ScanLdBuckets(EngineDatabase* db, const VmProgram& prog,
                      const LabelRowView& n1, EventTime t, uint32_t k,
                      ArenaInt32Map* agg, RowScratch* scratch) {
@@ -158,27 +195,30 @@ Status ScanLdBuckets(EngineDatabase* db, const VmProgram& prog,
   const int32_t arrhour =
       std::min(SaturatingBucketOf(t, prog.bucket_seconds), prog.max_bucket);
   const StoredTime ta_max = SaturatingToStoredTime(t);
-  for (size_t i = 0; i < n1.size(); ++i) {
+  for (size_t lo = 0, hi = 0; lo < n1.size(); lo = hi) {
     PTLDB_RETURN_IF_ERROR(CheckQueryCheckpoint());
+    hi = HubGroupEnd(n1.hubs, lo);
     ++counters.vm_steps;
-    auto found = prog.buckets->GetInto(MakeCompositeKey(n1.hubs[i], arrhour),
-                                       pool, scratch);
+    auto found = prog.buckets->GetInto(
+        MakeCompositeKey(n1.hubs[lo], arrhour), pool, scratch);
     PTLDB_RETURN_IF_ERROR(found.status());
     if (!*found) continue;
     BucketRowView row;
     PTLDB_RETURN_IF_ERROR(ViewBucketRow(*scratch, &row));
+    int32_t td = 0;
     const size_t lim =
         k == 0 ? row.vs.size() : std::min<size_t>(row.vs.size(), k);
     for (size_t j = 0; j < lim; ++j) {
       ++counters.vm_steps;
-      if (row.cond[j] >= n1.tas[i]) {
-        AggMax(agg, row.vs[j], n1.tds[i]);
+      if (LatestBoarding(n1, lo, hi, row.cond[j], &td)) {
+        AggMax(agg, row.vs[j], td);
       }
     }
     for (size_t j = 0; j < row.tds_exp.size(); ++j) {
       ++counters.vm_steps;
-      if (row.tds_exp[j] >= n1.tas[i] && row.tas_exp[j] <= ta_max) {
-        AggMax(agg, row.vs_exp[j], n1.tds[i]);
+      if (row.tas_exp[j] <= ta_max &&
+          LatestBoarding(n1, lo, hi, row.tds_exp[j], &td)) {
+        AggMax(agg, row.vs_exp[j], td);
       }
     }
   }

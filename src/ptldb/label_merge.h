@@ -15,7 +15,8 @@ namespace ptldb {
 
 /// The Code 1 common-hub merge kernels behind the compiled query VM's
 /// kMergeEa/Ld/Sd ops (compiled.cc), run over lout/lin heap rows decoded
-/// into RowScratch spans.
+/// into RowScratch spans, and the hub-group walk they share with the
+/// bucket scans.
 
 /// One stop's labels viewed as three parallel arrays sorted by
 /// (hub, td).
@@ -70,6 +71,16 @@ inline size_t LastNotAfter(const LabelRowView& v, size_t lo, size_t hi,
   return l == lo ? hi : l - 1;
 }
 
+/// End of the hub group that starts at `i`: the first index in
+/// [i, hubs.size()) whose hub differs from hubs[i]. Rows are sorted by
+/// (hub, td), so a hub's tuples are one contiguous run.
+inline size_t HubGroupEnd(std::span<const int32_t> hubs, size_t i) {
+  const int32_t hub = hubs[i];
+  // analyzer: bounded(one hub group; every caller checkpoints per group)
+  while (i < hubs.size() && hubs[i] == hub) ++i;
+  return i;
+}
+
 /// Runs `fn(a_lo, a_hi, b_lo, b_hi)` for every hub present in both rows.
 /// Deadline checkpoint per merge step (see query_context.h): a served
 /// query with an expired deadline unwinds here with kDeadlineExceeded,
@@ -83,14 +94,12 @@ Status MergeCommonHubs(const LabelRowView& a, const LabelRowView& b, Fn&& fn) {
     const int32_t ha = a.hubs[i];
     const int32_t hb = b.hubs[j];
     if (ha < hb) {
-      while (i < a.size() && a.hubs[i] == ha) ++i;
+      i = HubGroupEnd(a.hubs, i);
     } else if (hb < ha) {
-      while (j < b.size() && b.hubs[j] == hb) ++j;
+      j = HubGroupEnd(b.hubs, j);
     } else {
-      size_t i2 = i;
-      size_t j2 = j;
-      while (i2 < a.size() && a.hubs[i2] == ha) ++i2;
-      while (j2 < b.size() && b.hubs[j2] == ha) ++j2;
+      const size_t i2 = HubGroupEnd(a.hubs, i);
+      const size_t j2 = HubGroupEnd(b.hubs, j);
       ++ThisThreadQueryCounters().hubs_merged;
       fn(i, i2, j, j2);
       i = i2;

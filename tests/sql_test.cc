@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+
 #include "common/rng.h"
 #include "pgsql/sql_writer.h"
 #include "ptldb/ptldb.h"
@@ -11,6 +14,7 @@
 #include "timetable/generator.h"
 #include "ttl/builder.h"
 
+#include "sql_oracle.h"
 #include "test_time.h"
 
 namespace ptldb {
@@ -739,6 +743,177 @@ TEST_F(SqlExampleGoldenTest, VmStepsSpanStatMatchesEngineCounter) {
   EXPECT_EQ(SpanStat(*v2v, "vm.steps") + SpanStat(*ea_knn, "vm.steps"),
             vm_delta);
   db_->set_trace(nullptr);
+}
+
+// ---------- One bucket probe per hub ----------
+
+// Distinct hubs of a (hub, td)-sorted label, counting only hubs with a
+// tuple departing at or after *departing_from when it is set.
+size_t DistinctHubs(std::span<const LabelTuple> label,
+                    std::optional<EventTime> departing_from) {
+  size_t hubs = 0;
+  for (size_t i = 0; i < label.size();) {
+    size_t end = i;
+    bool departs = !departing_from.has_value();
+    for (; end < label.size() && label[end].hub == label[i].hub; ++end) {
+      departs = departs || label[end].td >= *departing_from;
+    }
+    hubs += departs ? 1 : 0;
+    i = end;
+  }
+  return hubs;
+}
+
+// B-tree descents one facade query makes (the exec.index_seeks delta).
+uint64_t SeeksOf(PtldbDatabase* db,
+                 const std::function<Result<std::vector<StopTimeResult>>()>&
+                     query) {
+  Counter* seeks = db->engine()->metrics()->counter("exec.index_seeks");
+  const uint64_t before = seeks->value();
+  EXPECT_TRUE(query().ok());
+  return seeks->value() - before;
+}
+
+// The compiled Code 3/4 scans probe one bucket row per hub of q's lout
+// row — EA only hubs with a tuple departing at or after t, LD every hub —
+// where the literal join probes once per n1 tuple. One more seek loads
+// the lout row itself. Returns how many seeks the per-tuple join would
+// have made beyond the per-hub count, so callers can check that the
+// sweep had a hub group with several tuples to merge.
+uint64_t ExpectOneProbePerHub(PtldbDatabase* db, const TtlIndex& index,
+                              const std::string& set, StopId q, EventTime t,
+                              uint32_t kmax) {
+  const auto label = index.out.tuples(q);
+  const uint64_t ea_hubs = DistinctHubs(label, t);
+  const uint64_t ld_hubs = DistinctHubs(label, std::nullopt);
+  for (uint32_t k = 1; k <= kmax; ++k) {
+    EXPECT_EQ(SeeksOf(db, [&] { return db->EaKnn(set, q, t, k); }),
+              1 + ea_hubs)
+        << "EA-kNN q=" << q << " t=" << t << " k=" << k;
+    EXPECT_EQ(SeeksOf(db, [&] { return db->LdKnn(set, q, t, k); }),
+              1 + ld_hubs)
+        << "LD-kNN q=" << q << " t=" << t << " k=" << k;
+  }
+  EXPECT_EQ(SeeksOf(db, [&] { return db->EaOneToMany(set, q, t); }),
+            1 + ea_hubs)
+      << "EA-OTM q=" << q << " t=" << t;
+  EXPECT_EQ(SeeksOf(db, [&] { return db->LdOneToMany(set, q, t); }),
+            1 + ld_hubs)
+      << "LD-OTM q=" << q << " t=" << t;
+  uint64_t ea_tuples = 0;
+  for (const LabelTuple& tuple : label) ea_tuples += tuple.td >= t ? 1 : 0;
+  return (ea_tuples - ea_hubs) + (label.size() - ld_hubs);
+}
+
+TEST_F(SqlExampleGoldenTest, SetScansProbeOncePerHub) {
+  const int64_t times[] = {0, 28800, 32400, 36000, 40000, 43200};
+  uint64_t merged = 0;
+  for (const StopId q : {0u, 1u, 2u, 4u, 5u}) {  // Non-target stops.
+    for (const int64_t t : times) {
+      merged += ExpectOneProbePerHub(db_.get(), index_, "poi", q, TSec(t),
+                                     kKmax);
+    }
+  }
+  EXPECT_GT(merged, 0u) << "no hub group had two tuples to share a probe";
+}
+
+// A hand-built index whose query label breaks the Pareto order the TTL
+// builder emits, checked against the literal Code 3/4 SQL. Stop 0's
+// outbound label:
+//   hub 5: (28800, 30000), (29400, 37000), (30000, 32400) — the middle
+//          tuple is dominated by the last (departs earlier, arrives
+//          later), so the group is not ascending in ta, and the last
+//          tuple arrives exactly on the 09:00 bucket edge;
+//   hub 6: (25200, 27000) — no tuple departs at or after t >= 25201;
+//   hub 7: (28800, 31000), (33000, 34000), (37000, 39600) — ascending,
+//          the last arriving exactly on the 11:00 edge.
+// Targets 1-4 are reached through all three hubs, some inbound tuples
+// departing exactly on an edge. For LD, a bucket departure in
+// [32400, 37000) at hub 5 is boardable by the first and last tuple but not
+// the middle one, so a binary search over ta would answer 28800 where
+// Code 4 answers 30000.
+class SqlNonMonotoneLabelTest : public testing::Test {
+ protected:
+  static constexpr uint32_t kStops = 8;
+  static constexpr uint32_t kKmax = 2;
+
+  SqlNonMonotoneLabelTest() {
+    index_.out = LabelSet(kStops);
+    index_.in = LabelSet(kStops);
+    const auto add = [](LabelSet* set, StopId v, StopId hub, int64_t td,
+                        int64_t ta) {
+      set->mutable_tuples(v).push_back(
+          {.hub = hub, .td = TSec(td), .ta = TSec(ta), .pivot = hub,
+           .trip = 0});
+    };
+    add(&index_.out, 0, 5, 28800, 30000);
+    add(&index_.out, 0, 5, 29400, 37000);
+    add(&index_.out, 0, 5, 30000, 32400);
+    add(&index_.out, 0, 6, 25200, 27000);
+    add(&index_.out, 0, 7, 28800, 31000);
+    add(&index_.out, 0, 7, 33000, 34000);
+    add(&index_.out, 0, 7, 37000, 39600);
+    add(&index_.in, 1, 5, 32400, 34000);
+    add(&index_.in, 1, 5, 36000, 37500);
+    add(&index_.in, 2, 5, 31000, 33000);
+    add(&index_.in, 2, 5, 37000, 38000);
+    add(&index_.in, 2, 7, 34000, 35000);
+    add(&index_.in, 3, 5, 30500, 40000);
+    add(&index_.in, 3, 6, 27500, 29000);
+    add(&index_.in, 3, 6, 30000, 31000);
+    add(&index_.in, 3, 7, 39600, 41000);
+    add(&index_.in, 4, 5, 35000, 36500);
+    add(&index_.in, 4, 7, 31500, 36000);
+    index_.out.SortTuples();
+    index_.in.SortTuples();
+    PtldbOptions options;
+    options.device = DeviceProfile::Ram();
+    db_ = std::move(PtldbDatabase::Build(index_, options)).value();
+    EXPECT_TRUE(db_->AddTargetSet("poi", index_, {1, 2, 3, 4}, kKmax).ok());
+  }
+
+  TtlIndex index_;
+  std::unique_ptr<PtldbDatabase> db_;
+};
+
+TEST_F(SqlNonMonotoneLabelTest, SetQueriesMatchLiteralSql) {
+  SqlOracle sql(db_.get());
+  const int64_t times[] = {25200, 25201, 27000, 28800, 28801, 29000, 29400,
+                           30000, 30001, 32399, 32400, 32401, 34000, 36000,
+                           37000, 39600, 40000, 43200, 50000};
+  for (const StopId q : {0u, 5u, 6u, 7u}) {  // Non-target stops.
+    for (const int64_t raw : times) {
+      const EventTime t = TSec(raw);
+      for (uint32_t k = 1; k <= kKmax; ++k) {
+        EXPECT_EQ(*db_->EaKnn("poi", q, t, k), *sql.EaKnn("poi", q, t, k))
+            << "EA-kNN q=" << q << " t=" << raw << " k=" << k;
+        EXPECT_EQ(*db_->LdKnn("poi", q, t, k), *sql.LdKnn("poi", q, t, k))
+            << "LD-kNN q=" << q << " t=" << raw << " k=" << k;
+      }
+      EXPECT_EQ(*db_->EaOneToMany("poi", q, t),
+                *sql.EaOneToMany("poi", q, t))
+          << "EA-OTM q=" << q << " t=" << raw;
+      EXPECT_EQ(*db_->LdOneToMany("poi", q, t),
+                *sql.LdOneToMany("poi", q, t))
+          << "LD-OTM q=" << q << " t=" << raw;
+    }
+  }
+  // The group breaking ta order changes the LD answer: leaving stop 0 by
+  // 30000 (via hub 5's last tuple) still reaches target 1 by 40000.
+  const auto ld = db_->LdOneToMany("poi", 0, TSec(40000));
+  ASSERT_TRUE(ld.ok());
+  EXPECT_NE(std::find(ld->begin(), ld->end(),
+                      StopTimeResult{1, TSec(30000)}),
+            ld->end());
+}
+
+TEST_F(SqlNonMonotoneLabelTest, SetScansProbeOncePerHub) {
+  uint64_t merged = 0;
+  for (const int64_t t : {25200, 28800, 29000, 30001, 33000, 40000}) {
+    merged += ExpectOneProbePerHub(db_.get(), index_, "poi", 0, TSec(t),
+                                   kKmax);
+  }
+  EXPECT_GT(merged, 0u);
 }
 
 TEST_F(SqlPaperQueriesTest, PaperWorkedExampleViaSql) {
