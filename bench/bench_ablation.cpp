@@ -66,7 +66,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n# Ablation (c): knn_ea bucket width (D=0.01, k=4, HDD)\n\n");
+  std::printf(
+      "\n# Ablation (c): bucket width of the otm_* tables kNN reads "
+      "(D=0.01, k=4, HDD)\n\n");
   PrintTableHeader({"Graph", "bucket", "table rows", "table MiB",
                     "EA-kNN (ms)", "LD-kNN (ms)"});
   for (const CityProfile* profile : SelectCities(config)) {
@@ -95,9 +97,9 @@ int main(int argc, char** argv) {
         return 1;
       }
       const EngineTable* table =
-          (*db)->engine()->FindTable(KnnEaTableName(set));
+          (*db)->engine()->FindTable(OtmEaTableName(set));
       const EngineTable* ld_table =
-          (*db)->engine()->FindTable(KnnLdTableName(set));
+          (*db)->engine()->FindTable(OtmLdTableName(set));
       const double ea_ms =
           TimeQueries(db->get(), config.num_queries, [&](uint32_t i) {
             (void)(*db)->EaKnn(set, w.q[i], w.early[i], 4);

@@ -94,8 +94,9 @@ int main(int argc, char** argv) {
   Rng rng(1);
   const auto targets = rng.SampleDistinct(tt->num_stops(), 20);
   if (!(*db)->AddTargetSet("poi", *index, targets, 4).ok()) return 1;
-  // Also build the Code 2 table, so the shell can run the naive SQL too.
-  if (!(*db)->AddNaiveKnnTable("poi", *index).ok()) return 1;
+  // Also build the paper's kNN tables (knn_naive, knn_ea, knn_ld), so the
+  // shell can run the literal Codes 2-4 SQL too.
+  if (!(*db)->AddPaperKnnTables("poi", *index).ok()) return 1;
 
   std::printf("PTLDB SQL shell on %s (scale %.2f): %u stops.\n", city.c_str(),
               scale, tt->num_stops());

@@ -31,12 +31,14 @@ that structure:
                         member, or pushing it into a container recreates
                         the use-after-evict bug the guards eliminated.
 
-  lock-order            The lock hierarchy is sets_mu_ (rank 0) -> buffer
-                        pool shard latch (rank 1) -> storage device mu_
-                        (rank 2). Acquisitions must descend; taking a
-                        lower- or equal-ranked lock while a higher rank is
-                        held — directly or through any transitive callee —
-                        is a deadlock waiting for the right interleaving.
+  lock-order            The lock hierarchy is build_mu_ (rank 0) ->
+                        sets_mu_ (rank 1) -> buffer pool shard latch
+                        (rank 2) -> storage device mu_ (rank 3) ->
+                        engine catalog_mu_ (rank 4). Acquisitions must
+                        descend; taking a lower- or equal-ranked lock
+                        while a higher rank is held — directly or through
+                        any transitive callee — is a deadlock waiting for
+                        the right interleaving.
 
 Backends: when the `clang.cindex` libclang bindings are importable (and a
 libclang shared object can be loaded), translation units from the compile
@@ -95,15 +97,21 @@ CHECKPOINT_FUNCTIONS = {"CheckQueryCheckpoint"}
 # match wins; mutexes matching no pattern are leaves outside the ranked
 # hierarchy (the query-log ring shards, server breaker/controller/budget
 # mutexes, metrics, traces) and are not analyzed for ordering.
+# build_mu_ (the facade's writer latch) is outermost; catalog_mu_ (the
+# engine catalog) is innermost, so no ranked lock is taken under it.
 LOCK_RANKS = [
-    (re.compile(r"\bsets_mu_\b"), 0, "sets_mu_"),
-    (re.compile(r"\bshard(\.|->)mu\b"), 1, "shard latch"),
-    (re.compile(r"\bdevice_mu_\b"), 2, "device mu_"),
+    (re.compile(r"\bbuild_mu_\b"), 0, "build_mu_"),
+    (re.compile(r"\bsets_mu_\b"), 1, "sets_mu_"),
+    (re.compile(r"\bshard(\.|->)mu\b"), 2, "shard latch"),
+    (re.compile(r"\bdevice_mu_\b"), 3, "device mu_"),
+    (re.compile(r"\bcatalog_mu_\b"), 4, "catalog_mu_"),
 ]
-# `mu_` is rank 2 only inside the storage device's own files; everywhere
+LOCK_HIERARCHY = ("build_mu_ -> sets_mu_ -> shard latch -> device mu_ -> "
+                  "catalog_mu_")
+# `mu_` is rank 3 only inside the storage device's own files; everywhere
 # else a bare mu_ is a leaf.
 DEVICE_FILES = ("src/engine/device.h", "src/engine/device.cc")
-DEVICE_MU = (re.compile(r"\bmu_\b"), 2, "device mu_")
+DEVICE_MU = (re.compile(r"\bmu_\b"), 3, "device mu_")
 
 # Bounded-loop annotation: written on the loop line or the line above.
 BOUNDED_RE = re.compile(r"analyzer:\s*bounded\s*\(")
@@ -144,7 +152,8 @@ cannot express (suppress one line with `// NOLINT` / `// NOLINT(<check>)`):
 
   lock-order       acquiring a lower- or equal-ranked lock while holding a
                    higher one, directly or through transitive callees
-                   (ranks: sets_mu_=0, shard latch=1, device mu_=2).
+                   (ranks: build_mu_=0, sets_mu_=1, shard latch=2,
+                   device mu_=3, catalog_mu_=4).
 """
 
 
@@ -761,8 +770,7 @@ def check_lock_order(fn: FunctionInfo, findings, rel, summary):
                         rel, t.line, "lock-order",
                         f"acquiring {rank[1]} (rank {rank[0]}) while "
                         f"holding {lock.label} (rank {held}); the "
-                        "hierarchy descends sets_mu_ -> shard latch -> "
-                        "device mu_"))
+                        f"hierarchy descends {LOCK_HIERARCHY}"))
                 i = arg_end
                 continue
             if t.kind == "id" and i + 1 < len(toks) \
@@ -776,7 +784,7 @@ def check_lock_order(fn: FunctionInfo, findings, rel, summary):
                         f"call to {t.text}() while holding {lock.label} "
                         f"(rank {held}): callee may acquire rank "
                         f"{min(bad)} — the hierarchy descends "
-                        "sets_mu_ -> shard latch -> device mu_"))
+                        f"{LOCK_HIERARCHY}"))
             i += 1
 
 

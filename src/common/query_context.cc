@@ -9,8 +9,9 @@ namespace {
 /// the whole propagation mechanism — no signature changes through the
 /// operator tree.
 thread_local const QueryContext* tls_query_context = nullptr;
-/// Decimation counter for clock reads; per-thread, never reset (only its
-/// value modulo kCheckpointStride matters).
+/// Checkpoints since the current context was installed. Each request
+/// starts at 0, so it reads the clock on its first checkpoint and on every
+/// kCheckpointStride-th after it, whatever earlier requests left behind.
 thread_local uint32_t tls_checkpoint_calls = 0;
 
 }  // namespace
@@ -20,6 +21,7 @@ const QueryContext* CurrentQueryContext() { return tls_query_context; }
 ScopedQueryContext::ScopedQueryContext(const QueryContext* ctx)
     : previous_(tls_query_context) {
   tls_query_context = ctx;
+  tls_checkpoint_calls = 0;
 }
 
 ScopedQueryContext::~ScopedQueryContext() { tls_query_context = previous_; }
@@ -31,7 +33,7 @@ Status CheckQueryCheckpoint() {
     return Status::DeadlineExceeded("query cancelled");
   }
   if (!ctx->has_deadline()) return Status::Ok();
-  if (++tls_checkpoint_calls % kCheckpointStride != 0) return Status::Ok();
+  if (tls_checkpoint_calls++ % kCheckpointStride != 0) return Status::Ok();
   if (QueryContext::Clock::now() >= ctx->deadline()) {
     return Status::DeadlineExceeded("query deadline exceeded");
   }

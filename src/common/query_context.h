@@ -102,13 +102,16 @@ class ScopedQueryContext {
 
 /// Cooperative cancellation checkpoint for engine loops. With no context
 /// installed this is one thread-local load; with a context it checks the
-/// cancel flag every call but reads the clock only every
-/// kCheckpointStride calls, so per-row loops can afford it. Returns
+/// cancel flag every call but reads the clock only on the first call after
+/// ScopedQueryContext installed it and on every kCheckpointStride-th call
+/// after that, so per-row loops can afford it. A request therefore runs at
+/// most kCheckpointStride - 1 checkpoints past its deadline. Returns
 /// kDeadlineExceeded when the request should stop.
 Status CheckQueryCheckpoint();
 
-/// Clock reads happen on every stride-th checkpoint (cancel-flag checks
-/// are unconditional). Exposed for tests asserting the grace bound.
+/// Clock reads happen on checkpoints 0, stride, 2*stride, ... of each
+/// request (cancel-flag checks are unconditional). Exposed for tests
+/// asserting the grace bound.
 inline constexpr uint32_t kCheckpointStride = 32;
 
 }  // namespace ptldb

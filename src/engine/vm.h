@@ -73,14 +73,13 @@ struct VmProgram {
   /// Bound inputs (resolved once at compile time, never re-looked-up).
   const EngineTable* lout = nullptr;     ///< Outbound label table.
   const EngineTable* lin = nullptr;      ///< Inbound label table.
-  /// The set table the scan op reads: a knn_/otm_ bucket table, or
+  /// The set table the scan op reads: an otm_ bucket table, or
   /// knn_naive_<set> for the Code 2 programs.
   const EngineTable* buckets = nullptr;
 
   /// Plan constants for the bucket family.
   Duration bucket_seconds = Duration::Zero();
   int32_t max_bucket = 0;
-  uint32_t kmax = 0;
 
   /// Sentinel an EA/LD v2v program returns when no journey exists / a
   /// label is absent (Infinity for EA, NegInfinity for LD). SD programs

@@ -59,7 +59,7 @@ Result<bool> LoadLabel(EngineDatabase* db, const VmProgram& prog,
   return true;
 }
 
-// Bucket row layout (BuildTargetSetTables): 0 hub, 1 hour, 2 vs,
+// Bucket row layout (BuildBucketTables): 0 hub, 1 hour, 2 vs,
 // 3 condensed time (tas for EA tables, tds for LD), 4 tds_exp, 5 vs_exp,
 // 6 tas_exp. The condensed pair and the expanded triple are each
 // parallel; a mismatch is corruption (the SQL interpreter's UNNEST agrees).
@@ -251,7 +251,7 @@ Status ScanLdBuckets(EngineDatabase* db, const VmProgram& prog,
       PTLDB_RETURN_IF_ERROR(CheckQueryCheckpoint());
       ++counters.vm_steps;
       PTLDB_RETURN_IF_ERROR(cursor.RowInto(scratch));
-      // Naive row layout (BuildTargetSetTables): 0 hub, 1 td, 2 vs, 3 tas.
+      // Naive row layout (BuildNaiveKnnTable): 0 hub, 1 td, 2 vs, 3 tas.
       if (scratch->cols.size() < 4) {
         return Status::Corruption("naive row has too few columns");
       }
@@ -308,8 +308,8 @@ Result<VmProgram> CompileV2v(EngineDatabase* db, CompiledV2vKind kind) {
 
 Result<VmProgram> CompileSetQuery(EngineDatabase* db, VmOp scan,
                                   const std::string& table,
-                                  Duration bucket_seconds, int32_t max_bucket,
-                                  uint32_t kmax) {
+                                  Duration bucket_seconds,
+                                  int32_t max_bucket) {
   const bool ld = scan == VmOp::kScanLdBuckets || scan == VmOp::kScanLdNaive;
   VmProgram p;
   auto lout = RequireTable(db, kLoutTable);
@@ -320,7 +320,6 @@ Result<VmProgram> CompileSetQuery(EngineDatabase* db, VmOp scan,
   p.buckets = *scanned;
   p.bucket_seconds = bucket_seconds;
   p.max_bucket = max_bucket;
-  p.kmax = kmax;
   p.Push(VmOp::kLoadOut, 0);
   p.Push(scan, 0);
   p.Push(VmOp::kEmitTopK, ld ? 1 : 0);

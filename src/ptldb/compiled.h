@@ -14,13 +14,13 @@ namespace ptldb {
 
 /// Compilation and execution of the VM programs (engine/vm.h) that answer
 /// every PtldbDatabase query. The facade compiles each query type once —
-/// the three Code 1 flavors at Build, the four bucket flavors per target
-/// set at AddTargetSet — and the entry points execute the stored program;
-/// the two Code 2 naive baselines compile per call. Labels are read from
-/// the lout/lin heap rows through the buffer pool. All per-request scratch
-/// lives in a thread-local bump arena plus reusable RowScratch buffers, so
-/// a warm VM query performs zero steady-state heap allocations
-/// (bench_micro's allocation gate pins this).
+/// the three Code 1 flavors at Build, the EA and LD bucket scans per
+/// target set at AddTargetSet — and the entry points execute the stored
+/// program; the two Code 2 naive baselines compile per call. Labels are
+/// read from the lout/lin heap rows through the buffer pool. All
+/// per-request scratch lives in a thread-local bump arena plus reusable
+/// RowScratch buffers, so a warm VM query performs zero steady-state heap
+/// allocations (bench_micro's allocation gate pins this).
 
 enum class CompiledV2vKind { kEa, kLd, kSd };
 
@@ -30,15 +30,15 @@ enum class CompiledV2vKind { kEa, kLd, kSd };
 Result<VmProgram> CompileV2v(EngineDatabase* db, CompiledV2vKind kind);
 
 /// Compiles one set query — kLoadOut, the `scan` op over `table`,
-/// kEmitTopK — for Code 3/4 (kScan{Ea,Ld}Buckets over knn_ea_<set> /
-/// otm_ea_<set> / knn_ld_<set> / otm_ld_<set>) or the Code 2 baseline
-/// (kScan{Ea,Ld}Naive over knn_naive_<set>). LD ops emit in descending
-/// time order. Fails with kInvalidArgument when `table` or lout has not
-/// been built.
+/// kEmitTopK — for Code 3/4 (kScan{Ea,Ld}Buckets over a bucket table:
+/// the facade binds otm_ea_<set> / otm_ld_<set> for kNN and one-to-many
+/// alike) or the Code 2 baseline (kScan{Ea,Ld}Naive over
+/// knn_naive_<set>). LD ops emit in descending time order. Fails with
+/// kInvalidArgument when `table` or lout has not been built.
 Result<VmProgram> CompileSetQuery(EngineDatabase* db, VmOp scan,
                                   const std::string& table,
-                                  Duration bucket_seconds, int32_t max_bucket,
-                                  uint32_t kmax);
+                                  Duration bucket_seconds,
+                                  int32_t max_bucket);
 
 /// Executes a compiled EA or LD Code 1 program (answers are points on
 /// the service clock). `t_end` is ignored by EA, `t` by LD.

@@ -104,6 +104,7 @@ Status PtldbDatabase::AddTargetSet(const std::string& name,
   if (index.num_stops() != num_stops_) {
     return Status::InvalidArgument("index does not match this database");
   }
+  if (kmax == 0) return Status::InvalidArgument("kmax must be positive");
   if (bucket_seconds <= Duration::Zero()) {
     return Status::InvalidArgument("bucket width must be positive");
   }
@@ -137,46 +138,47 @@ Status PtldbDatabase::BuildTargetSet(const std::string& name,
   std::vector<StopId> canon = targets;
   std::sort(canon.begin(), canon.end());
   canon.erase(std::unique(canon.begin(), canon.end()), canon.end());
-  PTLDB_RETURN_IF_ERROR(BuildTargetSetTables(index, canon, kmax, name, &db_,
-                                             bucket_seconds, num_threads_));
+  PTLDB_RETURN_IF_ERROR(BuildBucketTables(
+      index, canon, /*k=*/0, OtmEaTableName(name), OtmLdTableName(name), &db_,
+      bucket_seconds, num_threads_));
   info->kmax = kmax;
   info->bucket_seconds = bucket_seconds;
   info->max_bucket = CheckedBucketOf(max_event_time_, bucket_seconds);
   info->targets = std::move(canon);
-  // Compile the four bucket-scan programs once per set, after BulkLoad has
+  // Compile the EA and LD bucket scans once per set, after BulkLoad has
   // sealed and published the tables they bind; the kNN/OTM entry points
-  // select a stored program instead of building a plan per query. OTM
-  // programs share the kNN scan shape with k clamped to kmax at compile
-  // time and 0 at run time (no output truncation).
-  for (const auto& [prog, scan, table, prog_kmax] :
-       {std::tuple{&info->ea_knn_program, VmOp::kScanEaBuckets,
-                   KnnEaTableName(name), kmax},
-        std::tuple{&info->ld_knn_program, VmOp::kScanLdBuckets,
-                   KnnLdTableName(name), kmax},
-        std::tuple{&info->ea_otm_program, VmOp::kScanEaBuckets,
-                   OtmEaTableName(name), 0u},
-        std::tuple{&info->ld_otm_program, VmOp::kScanLdBuckets,
-                   OtmLdTableName(name), 0u}}) {
+  // select a stored program instead of building a plan per query. kNN
+  // runs a program with its k, which reads the first k condensed entries
+  // of each row (the paper's knn_* row); one-to-many runs it with 0.
+  for (const auto& [prog, scan, table] :
+       {std::tuple{&info->ea_program, VmOp::kScanEaBuckets,
+                   OtmEaTableName(name)},
+        std::tuple{&info->ld_program, VmOp::kScanLdBuckets,
+                   OtmLdTableName(name)}}) {
     auto compiled = CompileSetQuery(&db_, scan, table, bucket_seconds,
-                                    info->max_bucket, prog_kmax);
+                                    info->max_bucket);
     PTLDB_RETURN_IF_ERROR(compiled.status());
     *prog = *compiled;
   }
   return Status::Ok();
 }
 
-Status PtldbDatabase::AddNaiveKnnTable(const std::string& set_name,
-                                       const TtlIndex& index) {
+Status PtldbDatabase::AddPaperKnnTables(const std::string& set_name,
+                                        const TtlIndex& index) {
   if (index.num_stops() != num_stops_) {
     return Status::InvalidArgument("index does not match this database");
   }
   MutexLock build(build_mu_);
   auto info = ValidateSet(set_name, 1);
   PTLDB_RETURN_IF_ERROR(info.status());
+  const TargetSetInfo& set = **info;
   // A second call fails in CreateTable ("table exists"), before any rows
   // are built.
-  return BuildNaiveKnnTable(index, (*info)->targets, (*info)->kmax, set_name,
-                            &db_, num_threads_);
+  PTLDB_RETURN_IF_ERROR(BuildNaiveKnnTable(index, set.targets, set.kmax,
+                                           set_name, &db_, num_threads_));
+  return BuildBucketTables(index, set.targets, set.kmax,
+                           KnnEaTableName(set_name), KnnLdTableName(set_name),
+                           &db_, set.bucket_seconds, num_threads_);
 }
 
 Result<EventTime> PtldbDatabase::EarliestArrival(StopId s, StopId g,
@@ -239,7 +241,7 @@ void PatchSelfTarget(std::vector<StopTimeResult>* out,
 }
 
 /// Code 2 compiles per call: its program binds knn_naive_<set>, which
-/// only exists once AddNaiveKnnTable has built it. The lookups are the
+/// only exists once AddPaperKnnTables has built it. The lookups are the
 /// same catalog finds the stored programs make once at AddTargetSet.
 Result<std::vector<StopTimeResult>> RunNaiveKnn(
     EngineDatabase* db, VmOp scan, const std::string& set_name,
@@ -247,11 +249,12 @@ Result<std::vector<StopTimeResult>> RunNaiveKnn(
     uint32_t k) {
   const std::string table = NaiveKnnTableName(set_name);
   if (db->FindTable(table) == nullptr) {
-    return Status::NotFound(table + " is not built; call AddNaiveKnnTable(\"" +
+    return Status::NotFound(table +
+                            " is not built; call AddPaperKnnTables(\"" +
                             set_name + "\", index) first");
   }
-  auto prog = CompileSetQuery(db, scan, table, info.bucket_seconds,
-                              info.max_bucket, info.kmax);
+  auto prog =
+      CompileSetQuery(db, scan, table, info.bucket_seconds, info.max_bucket);
   PTLDB_RETURN_IF_ERROR(prog.status());
   return RunCompiledSetQuery(db, *prog, q, t, k);
 }
@@ -374,7 +377,7 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::EaKnn(
                [&]() -> Result<std::vector<StopTimeResult>> {
     auto info = ValidateSet(set_name, k);
     if (!info.ok()) return info.status();
-    auto primary = RunCompiledSetQuery(&db_, (*info)->ea_knn_program, q, t, k);
+    auto primary = RunCompiledSetQuery(&db_, (*info)->ea_program, q, t, k);
     auto r = OrDegrade(std::move(primary), **info, q, t, k, /*ld=*/false);
     if (r.ok()) PatchSelfTarget(&*r, (*info)->targets, q, t, k, /*ld=*/false);
     return r;
@@ -389,7 +392,7 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::LdKnn(
                [&]() -> Result<std::vector<StopTimeResult>> {
     auto info = ValidateSet(set_name, k);
     if (!info.ok()) return info.status();
-    auto primary = RunCompiledSetQuery(&db_, (*info)->ld_knn_program, q, t, k);
+    auto primary = RunCompiledSetQuery(&db_, (*info)->ld_program, q, t, k);
     auto r = OrDegrade(std::move(primary), **info, q, t, k, /*ld=*/true);
     if (r.ok()) PatchSelfTarget(&*r, (*info)->targets, q, t, k, /*ld=*/true);
     return r;
@@ -433,7 +436,7 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::EaOneToMany(
     auto info = ValidateSet(set_name, 1);
     if (!info.ok()) return info.status();
     auto primary =
-        RunCompiledSetQuery(&db_, (*info)->ea_otm_program, q, t, /*k=*/0);
+        RunCompiledSetQuery(&db_, (*info)->ea_program, q, t, /*k=*/0);
     auto r = OrDegrade(std::move(primary), **info, q, t, /*k=*/0, /*ld=*/false);
     if (r.ok()) {
       PatchSelfTarget(&*r, (*info)->targets, q, t, /*k=*/0, /*ld=*/false);
@@ -451,7 +454,7 @@ Result<std::vector<StopTimeResult>> PtldbDatabase::LdOneToMany(
     auto info = ValidateSet(set_name, 1);
     if (!info.ok()) return info.status();
     auto primary =
-        RunCompiledSetQuery(&db_, (*info)->ld_otm_program, q, t, /*k=*/0);
+        RunCompiledSetQuery(&db_, (*info)->ld_program, q, t, /*k=*/0);
     auto r = OrDegrade(std::move(primary), **info, q, t, /*k=*/0, /*ld=*/true);
     if (r.ok()) {
       PatchSelfTarget(&*r, (*info)->targets, q, t, /*k=*/0, /*ld=*/true);

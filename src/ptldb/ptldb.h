@@ -91,14 +91,17 @@ class PtldbDatabase {
   static Result<std::unique_ptr<PtldbDatabase>> Build(
       const TtlIndex& index, const PtldbOptions& options = {});
 
-  /// Builds the kNN and one-to-many tables for a fixed target set
-  /// (Sections 3.2-3.3). `kmax` caps the k serviced by the kNN tables;
-  /// `bucket_seconds` is the (hub, hour) grouping interval (one hour in the
-  /// paper; Section 3.2.1 discusses the tradeoff).
+  /// Builds the bucket tables for a fixed target set (Sections 3.2-3.3):
+  /// otm_ea_<set> and otm_ld_<set>, one condensed entry per target. kNN
+  /// reads the first k entries of the same rows, which are exactly the
+  /// paper's knn_ea/knn_ld rows (see AddPaperKnnTables). `kmax` caps the
+  /// k a kNN query may ask for; `bucket_seconds` is the (hub, hour)
+  /// grouping interval (one hour in the paper; Section 3.2.1 discusses
+  /// the tradeoff).
   ///
   /// `targets` has set semantics: duplicate stops collapse to a single
   /// target before the tables are built, so a stop can never appear twice
-  /// in one answer. Also compiles the set's four kNN/OTM programs; a
+  /// in one answer. Also compiles the set's EA and LD programs; a
   /// compile error is returned and the set is not registered.
   ///
   /// Readers are not stalled: sets_mu_ is held only to check the name
@@ -106,17 +109,20 @@ class PtldbDatabase {
   /// compiled under build_mu_ alone, which queries never take, so queries
   /// run meanwhile; concurrent registrations run one after another, and a
   /// name registered by an earlier one is rejected with kInvalidArgument.
-  /// The Code 2 naive table is not built; see AddNaiveKnnTable.
+  /// The paper's knn_* tables are not built; see AddPaperKnnTables.
   Status AddTargetSet(const std::string& name, const TtlIndex& index,
                       const std::vector<StopId>& targets, uint32_t kmax,
                       Duration bucket_seconds = kHourBucket);
 
-  /// Builds knn_naive_<set>, the table only the Code 2 naive baselines
-  /// (EaKnnNaive/LdKnnNaive, Figure 3) read, for a registered set from
-  /// its canonical targets and kmax. kNotFound for an unknown set,
-  /// kInvalidArgument if the table already exists. Like AddTargetSet, it
-  /// builds under build_mu_ alone, so queries are not stalled.
-  Status AddNaiveKnnTable(const std::string& set_name, const TtlIndex& index);
+  /// Builds the paper's three kNN tables for a registered set, from its
+  /// canonical targets, kmax and bucket width: knn_naive_<set>, which the
+  /// Code 2 naive baselines (EaKnnNaive/LdKnnNaive, Figure 3) read, and
+  /// knn_ea_<set>/knn_ld_<set>, which only the paper's literal Code 3/4
+  /// SQL and the storage count of Section 4.3 read. kNotFound for an
+  /// unknown set, kInvalidArgument if the tables already exist. Like
+  /// AddTargetSet, it builds under build_mu_ alone, so queries are not
+  /// stalled.
+  Status AddPaperKnnTables(const std::string& set_name, const TtlIndex& index);
 
   // --- Vertex-to-vertex queries (Code 1) ---
   // Non-OK on storage faults (kIoError) or detected corruption
@@ -127,7 +133,7 @@ class PtldbDatabase {
                                     EventTime t_end);
 
   // --- kNN queries (Section 3.2); k must be <= the set's kmax ---
-  // Graceful degradation: when the optimized knn_*/otm_* tables hit a
+  // Graceful degradation: when the optimized otm_* tables hit a
   // storage fault, the facade re-answers from per-target v2v label queries
   // (the paper's Section 3.2 baseline) and records degraded=true in
   // query_stats(). Only if the fallback faults too does the error surface.
@@ -143,7 +149,7 @@ class PtldbDatabase {
   Result<std::vector<StopTimeResult>> LdKnn(const std::string& set_name,
                                             StopId q, EventTime t, uint32_t k);
   /// The naive baselines of Code 2 (Figure 3 compares against these).
-  /// kNotFound until AddNaiveKnnTable has built the set's naive table.
+  /// kNotFound until AddPaperKnnTables has built the set's naive table.
   Result<std::vector<StopTimeResult>> EaKnnNaive(const std::string& set_name,
                                                  StopId q, EventTime t,
                                                  uint32_t k);
@@ -230,14 +236,12 @@ class PtldbDatabase {
     int32_t max_bucket = 0;  ///< LD deadlines clamp to this bucket.
     /// The target stops, kept for the degraded per-target v2v fallback.
     std::vector<StopId> targets;
-    /// Compiled programs for this set's four bucket-query flavors
-    /// (engine/vm.h), bound at AddTargetSet. They differ only in the
-    /// bucket table and scan direction. POD copies; the table pointers
-    /// inside stay valid for the database's lifetime.
-    VmProgram ea_knn_program;
-    VmProgram ld_knn_program;
-    VmProgram ea_otm_program;
-    VmProgram ld_otm_program;
+    /// Compiled EA and LD bucket scans (engine/vm.h) over otm_ea_<set>
+    /// and otm_ld_<set>, bound at AddTargetSet. kNN runs them with k,
+    /// one-to-many with k = 0. POD copies; the table pointers inside stay
+    /// valid for the database's lifetime.
+    VmProgram ea_program;
+    VmProgram ld_program;
   };
 
   /// Per-facade query accounting, including degradation events. A
@@ -273,7 +277,7 @@ class PtldbDatabase {
                                            uint32_t k) const;
 
   /// AddTargetSet's build, run under build_mu_ without sets_mu_:
-  /// canonicalizes the targets, builds the set's four tables and compiles
+  /// canonicalizes the targets, builds the set's two tables and compiles
   /// its programs into `info`.
   Status BuildTargetSet(const std::string& name, const TtlIndex& index,
                         const std::vector<StopId>& targets, uint32_t kmax,
@@ -389,7 +393,7 @@ class PtldbDatabase {
   const VmProgram& v2v_program(QueryType type) const {
     return v2v_programs_[static_cast<size_t>(type)];
   }
-  /// Writer latch: serializes AddTargetSet and AddNaiveKnnTable, which
+  /// Writer latch: serializes AddTargetSet and AddPaperKnnTables, which
   /// makes them the PageStore's one writer. Held across a whole build;
   /// queries never take it. Acquired before sets_mu_.
   Mutex build_mu_;

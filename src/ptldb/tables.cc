@@ -123,27 +123,24 @@ TableRows BuildNaiveRows(std::span<const TargetTuple> by_td, int32_t hub,
   return rows;
 }
 
-// Rows of the four optimized tables for one hub group.
+// Rows of one EA/LD bucket-table pair for one hub group.
 struct BucketRows {
-  TableRows knn_ea;
-  TableRows knn_ld;
-  TableRows otm_ea;
-  TableRows otm_ld;
+  TableRows ea;
+  TableRows ld;
 };
 
 BucketRows BuildBucketRows(std::span<const TargetTuple> by_td, int32_t hub,
-                           const BucketRange& hours, uint32_t kmax,
+                           const BucketRange& hours, uint32_t k,
                            Duration bucket_seconds) {
   BucketRows rows;
 
-  // ---- EA hour buckets (knn_ea + otm_ea). ----
+  // ---- EA hour buckets. ----
   {
     const int32_t max_hour = CheckedBucketOf(by_td.back().td, bucket_seconds);
     // Condensed entries per hour, computed high-to-low by sweeping the
     // td-sorted group from the back.
     std::map<int32_t, EventTime> best;  // target -> earliest arrival.
-    std::map<int32_t, std::vector<std::pair<EventTime, int32_t>>> knn_cond;
-    std::map<int32_t, std::vector<std::pair<EventTime, int32_t>>> otm_cond;
+    std::map<int32_t, std::vector<std::pair<EventTime, int32_t>>> cond;
     size_t cursor = by_td.size();
     for (int32_t hour = max_hour; hour >= hours.min_bucket; --hour) {
       // Bucket-edge ownership: hour h owns expanded tds in
@@ -168,8 +165,7 @@ BucketRows BuildBucketRows(std::span<const TargetTuple> by_td, int32_t hub,
         if (!inserted) it->second = std::min(it->second, t.ta);
         --cursor;
       }
-      knn_cond[hour] = TopEntries(best, true, kmax);
-      otm_cond[hour] = TopEntries(best, true, 0);
+      cond[hour] = TopEntries(best, true, k);
     }
     // Emit rows in ascending hour order.
     size_t exp_cursor = 0;
@@ -185,32 +181,26 @@ BucketRows BuildBucketRows(std::span<const TargetTuple> by_td, int32_t hub,
       std::vector<int32_t> tds_exp;
       std::vector<int32_t> vs_exp;
       std::vector<int32_t> tas_exp;
-      for (size_t k = exp_cursor; k < by_td.size() && by_td[k].td < hi; ++k) {
-        tds_exp.push_back(ToStoredTime(by_td[k].td));
-        vs_exp.push_back(by_td[k].v);
-        tas_exp.push_back(ToStoredTime(by_td[k].ta));
+      for (size_t j = exp_cursor; j < by_td.size() && by_td[j].td < hi; ++j) {
+        tds_exp.push_back(ToStoredTime(by_td[j].td));
+        vs_exp.push_back(by_td[j].v);
+        tas_exp.push_back(ToStoredTime(by_td[j].ta));
       }
-      const auto emit =
-          [&](const std::vector<std::pair<EventTime, int32_t>>& condensed,
-              TableRows* out) {
-            std::vector<int32_t> vs;
-            std::vector<int32_t> tas;
-            for (const auto& [ta, v] : condensed) {
-              vs.push_back(v);
-              tas.push_back(ToStoredTime(ta));
-            }
-            out->emplace_back(
-                MakeCompositeKey(hub, hour),
-                Row{Value(hub), Value(hour), Value(std::move(vs)),
-                    Value(std::move(tas)), Value(tds_exp), Value(vs_exp),
-                    Value(tas_exp)});
-          };
-      emit(knn_cond[hour], &rows.knn_ea);
-      emit(otm_cond[hour], &rows.otm_ea);
+      std::vector<int32_t> vs;
+      std::vector<int32_t> tas;
+      for (const auto& [ta, v] : cond[hour]) {
+        vs.push_back(v);
+        tas.push_back(ToStoredTime(ta));
+      }
+      rows.ea.emplace_back(
+          MakeCompositeKey(hub, hour),
+          Row{Value(hub), Value(hour), Value(std::move(vs)),
+              Value(std::move(tas)), Value(std::move(tds_exp)),
+              Value(std::move(vs_exp)), Value(std::move(tas_exp))});
     }
   }
 
-  // ---- LD hour buckets (knn_ld + otm_ld). ----
+  // ---- LD hour buckets. ----
   {
     std::vector<TargetTuple> by_ta(by_td.begin(), by_td.end());
     std::sort(by_ta.begin(), by_ta.end(),
@@ -241,8 +231,8 @@ BucketRows BuildBucketRows(std::span<const TargetTuple> by_td, int32_t hub,
       }
       // Expanded: tuples arriving within [lo, hi), ordered by td.
       std::vector<TargetTuple> exp;
-      for (size_t k = cursor; k < by_ta.size() && by_ta[k].ta < hi; ++k) {
-        exp.push_back(by_ta[k]);
+      for (size_t j = cursor; j < by_ta.size() && by_ta[j].ta < hi; ++j) {
+        exp.push_back(by_ta[j]);
       }
       std::sort(exp.begin(), exp.end(),
                 [](const TargetTuple& a, const TargetTuple& b) {
@@ -256,23 +246,17 @@ BucketRows BuildBucketRows(std::span<const TargetTuple> by_td, int32_t hub,
         vs_exp.push_back(t.v);
         tas_exp.push_back(ToStoredTime(t.ta));
       }
-      const auto emit =
-          [&](const std::vector<std::pair<EventTime, int32_t>>& condensed,
-              TableRows* out) {
-            std::vector<int32_t> vs;
-            std::vector<int32_t> tds;
-            for (const auto& [td, v] : condensed) {
-              vs.push_back(v);
-              tds.push_back(ToStoredTime(td));
-            }
-            out->emplace_back(
-                MakeCompositeKey(hub, hour),
-                Row{Value(hub), Value(hour), Value(std::move(vs)),
-                    Value(std::move(tds)), Value(tds_exp), Value(vs_exp),
-                    Value(tas_exp)});
-          };
-      emit(TopEntries(best, false, kmax), &rows.knn_ld);
-      emit(TopEntries(best, false, 0), &rows.otm_ld);
+      std::vector<int32_t> vs;
+      std::vector<int32_t> tds;
+      for (const auto& [td, v] : TopEntries(best, false, k)) {
+        vs.push_back(v);
+        tds.push_back(ToStoredTime(td));
+      }
+      rows.ld.emplace_back(
+          MakeCompositeKey(hub, hour),
+          Row{Value(hub), Value(hour), Value(std::move(vs)),
+              Value(std::move(tds)), Value(std::move(tds_exp)),
+              Value(std::move(vs_exp)), Value(std::move(tas_exp))});
     }
   }
 
@@ -284,9 +268,8 @@ void AppendRows(TableRows* dst, TableRows* src) {
               std::make_move_iterator(src->end()));
 }
 
-Status CheckSetArgs(const TtlIndex& index, const std::vector<StopId>& targets,
-                    uint32_t kmax) {
-  if (kmax == 0) return Status::InvalidArgument("kmax must be positive");
+Status CheckTargets(const TtlIndex& index,
+                    const std::vector<StopId>& targets) {
   for (const StopId t : targets) {
     if (t >= index.num_stops()) {
       return Status::InvalidArgument("target out of range");
@@ -411,53 +394,42 @@ BucketRange ComputeBucketRange(const TtlIndex& index,
   return range;
 }
 
-Status BuildTargetSetTables(const TtlIndex& index,
-                            const std::vector<StopId>& targets,
-                            uint32_t kmax, const std::string& set_name,
-                            EngineDatabase* db, Duration bucket_seconds,
-                            uint32_t num_threads) {
-  PTLDB_RETURN_IF_ERROR(CheckSetArgs(index, targets, kmax));
+Status BuildBucketTables(const TtlIndex& index,
+                         const std::vector<StopId>& targets, uint32_t k,
+                         const std::string& ea_table,
+                         const std::string& ld_table, EngineDatabase* db,
+                         Duration bucket_seconds, uint32_t num_threads) {
+  PTLDB_RETURN_IF_ERROR(CheckTargets(index, targets));
   if (bucket_seconds <= Duration::Zero()) {
     return Status::InvalidArgument("bucket width must be positive");
   }
-  auto knn_ea = db->CreateTable(KnnEaTableName(set_name),
-                                HourBucketSchema("dephour", "tas"), 2);
-  auto knn_ld = db->CreateTable(KnnLdTableName(set_name),
-                                HourBucketSchema("arrhour", "tds"), 2);
-  auto otm_ea = db->CreateTable(OtmEaTableName(set_name),
-                                HourBucketSchema("dephour", "tas"), 2);
-  auto otm_ld = db->CreateTable(OtmLdTableName(set_name),
-                                HourBucketSchema("arrhour", "tds"), 2);
-  for (const auto* t : std::initializer_list<const Result<EngineTable*>*>{
-           &knn_ea, &knn_ld, &otm_ea, &otm_ld}) {
-    if (!t->ok()) return t->status();
-  }
+  auto ea = db->CreateTable(ea_table, HourBucketSchema("dephour", "tas"), 2);
+  PTLDB_RETURN_IF_ERROR(ea.status());
+  auto ld = db->CreateTable(ld_table, HourBucketSchema("arrhour", "tds"), 2);
+  PTLDB_RETURN_IF_ERROR(ld.status());
 
   const HubGroups groups = GroupTargetTuples(index, targets);
   const BucketRange hours = ComputeBucketRange(index, bucket_seconds);
   std::vector<BucketRows> per_group = BuildPerGroup<BucketRows>(
       groups, num_threads, db, [&](std::span<const TargetTuple> by_td) {
-        return BuildBucketRows(by_td, by_td.front().hub, hours, kmax,
+        return BuildBucketRows(by_td, by_td.front().hub, hours, k,
                                bucket_seconds);
       });
   BucketRows all;
   for (BucketRows& rows : per_group) {
-    AppendRows(&all.knn_ea, &rows.knn_ea);
-    AppendRows(&all.knn_ld, &rows.knn_ld);
-    AppendRows(&all.otm_ea, &rows.otm_ea);
-    AppendRows(&all.otm_ld, &rows.otm_ld);
+    AppendRows(&all.ea, &rows.ea);
+    AppendRows(&all.ld, &rows.ld);
   }
-  PTLDB_RETURN_IF_ERROR((*knn_ea)->BulkLoad(std::move(all.knn_ea)));
-  PTLDB_RETURN_IF_ERROR((*knn_ld)->BulkLoad(std::move(all.knn_ld)));
-  PTLDB_RETURN_IF_ERROR((*otm_ea)->BulkLoad(std::move(all.otm_ea)));
-  return (*otm_ld)->BulkLoad(std::move(all.otm_ld));
+  PTLDB_RETURN_IF_ERROR((*ea)->BulkLoad(std::move(all.ea)));
+  return (*ld)->BulkLoad(std::move(all.ld));
 }
 
 Status BuildNaiveKnnTable(const TtlIndex& index,
                           const std::vector<StopId>& targets, uint32_t kmax,
                           const std::string& set_name, EngineDatabase* db,
                           uint32_t num_threads) {
-  PTLDB_RETURN_IF_ERROR(CheckSetArgs(index, targets, kmax));
+  if (kmax == 0) return Status::InvalidArgument("kmax must be positive");
+  PTLDB_RETURN_IF_ERROR(CheckTargets(index, targets));
   auto table = db->CreateTable(NaiveKnnTableName(set_name), NaiveSchema(), 2);
   PTLDB_RETURN_IF_ERROR(table.status());
   const HubGroups groups = GroupTargetTuples(index, targets);

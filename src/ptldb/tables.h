@@ -48,30 +48,34 @@ struct BucketRange {
 BucketRange ComputeBucketRange(const TtlIndex& index,
                                Duration bucket_seconds = kHourBucket);
 
-/// Builds the four optimized derived tables for one fixed target set
+/// Builds one pair of (hub, hour) bucket tables for a fixed target set
 /// (Sections 3.2-3.3):
-///   knn_ea_<set>    (hub, dephour) -> hour bucket + top-k condensed columns
-///   knn_ld_<set>    (hub, arrhour) -> symmetric for latest departure
-///   otm_ea_<set>    (hub, dephour) -> best entry per target instead of top-k
-///   otm_ld_<set>    (hub, arrhour) -> symmetric
-/// `bucket_seconds` is the grouping interval for the (hub, hour) tables
-/// (3600 in the paper). `num_threads` parallelizes the per-hub row
-/// construction (0 = one per hardware thread, 1 = serial); the loaded
-/// tables are identical for every value. Safe to run concurrently with
-/// readers of `db`, but not with another build into it (its PageStore
-/// has one writer at a time; PtldbDatabase serializes its builds).
-Status BuildTargetSetTables(const TtlIndex& index,
-                            const std::vector<StopId>& targets,
-                            uint32_t kmax, const std::string& set_name,
-                            EngineDatabase* db,
-                            Duration bucket_seconds = kHourBucket,
-                            uint32_t num_threads = 1);
+///   <ea_table> (hub, dephour) -> condensed best (v, ta) per target +
+///                                the hour's expanded tuples
+///   <ld_table> (hub, arrhour) -> symmetric for latest departure
+/// `k` caps each condensed list (0 = one entry per target). Every cap
+/// keeps a prefix of the same sorted list, so the paper's knn_* tables
+/// (k = kmax) are a prefix of its otm_* tables (k = 0), row by row.
+/// PtldbDatabase builds otm_ea_<set>/otm_ld_<set> at AddTargetSet, and
+/// knn_ea_<set>/knn_ld_<set> only in AddPaperKnnTables.
+/// `bucket_seconds` is the grouping interval (3600 in the paper).
+/// `num_threads` parallelizes the per-hub row construction (0 = one per
+/// hardware thread, 1 = serial); the loaded tables are identical for
+/// every value. Safe to run concurrently with readers of `db`, but not
+/// with another build into it (its PageStore has one writer at a time;
+/// PtldbDatabase serializes its builds).
+Status BuildBucketTables(const TtlIndex& index,
+                         const std::vector<StopId>& targets, uint32_t k,
+                         const std::string& ea_table,
+                         const std::string& ld_table, EngineDatabase* db,
+                         Duration bucket_seconds = kHourBucket,
+                         uint32_t num_threads = 1);
 
 /// Builds the Code 2 table of the naive kNN baseline (Figure 3):
 ///   knn_naive_<set> (hub, td) -> k-best distinct (v, ta) per (hub, td);
 ///                                serves both EA and LD naive queries.
 /// Only the naive baseline reads it, so registering a set does not build
-/// it; PtldbDatabase::AddNaiveKnnTable does, on request.
+/// it; PtldbDatabase::AddPaperKnnTables does, on request.
 Status BuildNaiveKnnTable(const TtlIndex& index,
                           const std::vector<StopId>& targets, uint32_t kmax,
                           const std::string& set_name, EngineDatabase* db,

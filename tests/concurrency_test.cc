@@ -226,7 +226,7 @@ TEST(FacadeConcurrencyTest, TinyPoolConcurrentQueriesMatchSerialAnswers) {
 
 // AddTargetSet builds outside the facade latch, so registrations run
 // while readers query. Readers on set "t" — facade kNN/OTM and v2v
-// queries, SQL SELECTs over knn_ea_t, and the catalog views size_bytes()
+// queries, SQL SELECTs over otm_ea_t, and the catalog views size_bytes()
 // and table_names() — must keep getting their serial answers and see
 // only sealed tables; two writers register distinct sets while a third
 // pair races on one name, of which exactly one call may win. The tiny
@@ -294,7 +294,8 @@ TEST(FacadeConcurrencyTest, RegistrationUnderLoadKeepsReadersExact) {
     }
     return a;
   };
-  const std::string sql = "SELECT dephour, vs, tas FROM knn_ea_t WHERE hub = $1";
+  const std::string sql =
+      "SELECT dephour, vs, tas FROM otm_ea_t WHERE hub = $1";
   const auto run_sql = [&](SqlInterpreter* interp, int64_t hub) {
     auto r = interp->Execute(sql, {hub});
     return r.ok() ? std::optional<std::vector<SqlRow>>(r->rows)
@@ -345,8 +346,8 @@ TEST(FacadeConcurrencyTest, RegistrationUnderLoadKeepsReadersExact) {
   });
   std::atomic<uint64_t> catalog_errors{0};
   readers.emplace_back([&] {
-    const std::set<std::string> base = {"lout", "lin", "knn_ea_t",
-                                        "knn_ld_t", "otm_ea_t", "otm_ld_t"};
+    const std::set<std::string> base = {"lout", "lin", "otm_ea_t",
+                                        "otm_ld_t"};
     uint64_t last_size = 0;
     do {
       const uint64_t size = db->size_bytes();

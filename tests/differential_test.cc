@@ -374,7 +374,7 @@ TEST(DifferentialTest, NaiveKnnPlansMatchOracles) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const Network net = MakeNetwork(seed);
     auto db = MakeDb(net.index, net.targets, kMaxK);
-    ASSERT_TRUE(db->AddNaiveKnnTable("t", net.index).ok());
+    ASSERT_TRUE(db->AddPaperKnnTables("t", net.index).ok());
     Rng rng(seed * 0x2545F4914F6CDD1DULL + 3);
     for (int trial = 0; trial < 6; ++trial) {
       const StopId q = static_cast<StopId>(rng.NextBelow(net.tt.num_stops()));
@@ -410,6 +410,7 @@ TEST(DifferentialTest, VmMatchesInterpreterPath) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const Network net = MakeNetwork(seed);
     auto db = MakeDb(net.index, net.targets, kMaxK);
+    ASSERT_TRUE(db->AddPaperKnnTables("t", net.index).ok());
     SqlOracle sql(db.get());
     Rng rng(seed * 0x9e3779b97f4a7c15ULL + 101);
     const EventTime lo = net.tt.min_time();

@@ -110,7 +110,7 @@ TEST_F(FaultSoakTest, NoCrashesNoWrongAnswersAcrossSeeds) {
   auto db = PtldbDatabase::Build(*index, options);
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE((*db)->AddTargetSet("T", *index, targets, /*kmax=*/4).ok());
-  ASSERT_TRUE((*db)->AddNaiveKnnTable("T", *index).ok());
+  ASSERT_TRUE((*db)->AddPaperKnnTables("T", *index).ok());
   StorageDevice* device = (*db)->engine()->device();
   BufferPool* pool = (*db)->engine()->buffer_pool();
 
@@ -258,7 +258,7 @@ TEST_F(FaultSoakTest, NaiveKnnFaultIsAnErrorNotAShortAnswer) {
   auto db = PtldbDatabase::Build(*index, options);
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE((*db)->AddTargetSet("T", *index, targets, /*kmax=*/4).ok());
-  ASSERT_TRUE((*db)->AddNaiveKnnTable("T", *index).ok());
+  ASSERT_TRUE((*db)->AddPaperKnnTables("T", *index).ok());
   StorageDevice* device = (*db)->engine()->device();
 
   // A query stop outside T from which some target is reachable.

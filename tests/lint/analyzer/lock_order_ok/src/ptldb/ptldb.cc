@@ -6,9 +6,9 @@
 namespace ptldb {
 
 void DescendingOrder(Shard& shard) {
-  MutexLock lock(sets_mu_);    // rank 0
-  MutexLock latch(shard.mu);   // rank 1: descending, clean.
-  MutexLock dev(device_mu_);   // rank 2: still descending, clean.
+  MutexLock lock(sets_mu_);    // rank 1
+  MutexLock latch(shard.mu);   // rank 2: descending, clean.
+  MutexLock dev(device_mu_);   // rank 3: still descending, clean.
   CopyOut(shard);
 }
 
@@ -18,15 +18,15 @@ void AcquiresDeviceMu() {
 }
 
 void DescendsThroughCallee(Shard& shard) {
-  MutexLock latch(shard.mu);  // rank 1 held...
-  AcquiresDeviceMu();         // callee takes rank 2: descending, clean.
+  MutexLock latch(shard.mu);  // rank 2 held...
+  AcquiresDeviceMu();         // callee takes rank 3: descending, clean.
 }
 
 void UnlockEndsScope(Shard& shard) {
   MutexLock latch(shard.mu);
   ReadRows(shard);
-  latch.Unlock();             // rank 1 released...
-  MutexLock lock(sets_mu_);   // ...so taking rank 0 now is clean.
+  latch.Unlock();             // rank 2 released...
+  MutexLock lock(sets_mu_);   // ...so taking rank 1 now is clean.
   RebuildSets();
 }
 
@@ -34,6 +34,28 @@ void LeafMutexIgnored() {
   MutexLock lock(stats_mu_);  // unranked leaf: not part of the hierarchy.
   MutexLock dev(device_mu_);
   ChargeRead();
+}
+
+void LooksUpCatalog() {
+  MutexLock lock(catalog_mu_);
+  FindEntry();
+}
+
+void RegistersUnderBuildMu() {
+  MutexLock build(build_mu_);  // rank 0: outermost.
+  {
+    MutexLock lock(sets_mu_);  // rank 1: descending, clean.
+    CheckName();
+  }
+  LooksUpCatalog();            // callee takes rank 4: descending, clean.
+  MutexLock lock(sets_mu_);    // rank 1 again under rank 0: clean.
+  Publish();
+}
+
+void CatalogUnderDevice() {
+  MutexLock dev(device_mu_);    // rank 3 held...
+  MutexLock lock(catalog_mu_);  // rank 4: innermost, clean.
+  FindEntry();
 }
 
 }  // namespace ptldb

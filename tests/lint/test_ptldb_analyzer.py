@@ -187,7 +187,7 @@ class GuardEscapeTest(unittest.TestCase):
 
 class LockOrderTest(unittest.TestCase):
     def test_bad_fixture_tree(self):
-        self.assertEqual(3, run_tree("lock_order_bad").count("lock-order"))
+        self.assertEqual(5, run_tree("lock_order_bad").count("lock-order"))
 
     def test_ok_fixture_tree_clean(self):
         # Descending order, callee descent, explicit Unlock ending a

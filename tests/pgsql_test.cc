@@ -129,7 +129,7 @@ class PgEquivalenceTest : public testing::Test {
     Rng rng(5);
     targets_ = rng.SampleDistinct(tt_.num_stops(), 12);
     ASSERT_TRUE(db_->AddTargetSet("poi", index_, targets_, 4).ok());
-    ASSERT_TRUE(db_->AddNaiveKnnTable("poi", index_).ok());
+    ASSERT_TRUE(db_->AddPaperKnnTables("poi", index_).ok());
 
     auto pg = PgPtldb::Connect(Conninfo(), "ptldb_test");
     if (!pg.ok()) {
@@ -233,7 +233,7 @@ TEST_F(PgEquivalenceTest, PaperExampleOnRealPostgres) {
   auto db = PtldbDatabase::Build(*index, popts);
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE((*db)->AddTargetSet("t46", *index, {4, 6}, 2).ok());
-  ASSERT_TRUE((*db)->AddNaiveKnnTable("t46", *index).ok());
+  ASSERT_TRUE((*db)->AddPaperKnnTables("t46", *index).ok());
   auto pg = PgPtldb::Connect(Conninfo(), "ptldb_example");
   ASSERT_TRUE(pg.ok());
   ASSERT_TRUE((*pg)->MirrorFrom(db->get()).ok());

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <set>
 
 #include "baseline/brute.h"
 #include "baseline/csa.h"
+#include "common/query_context.h"
 #include "common/rng.h"
 #include "ptldb/ptldb.h"
 #include "ptldb/service_calendar.h"
@@ -85,13 +88,52 @@ class PtldbExampleTest : public testing::Test {
     index_ = BuildIndex(tt_, options);
     db_ = BuildDb(index_);
     EXPECT_TRUE(db_->AddTargetSet("t46", index_, {4, 6}, /*kmax=*/2).ok());
-    EXPECT_TRUE(db_->AddNaiveKnnTable("t46", index_).ok());
+    EXPECT_TRUE(db_->AddPaperKnnTables("t46", index_).ok());
   }
 
   Timetable tt_;
   TtlIndex index_;
   std::unique_ptr<PtldbDatabase> db_;
 };
+
+// A deadline is a per-request contract: ScopedQueryContext restarts the
+// clock-read stride, so a request whose deadline has already passed
+// reads the clock on its first checkpoint, whatever count an earlier
+// request on the thread left behind. Each warm Figure-1 query makes far
+// fewer than kCheckpointStride checkpoints, so a stride carried over from
+// an earlier request would let most phases answer OK.
+TEST_F(PtldbExampleTest, ExpiredDeadlineStopsEveryQueryAtEveryStridePhase) {
+  const EventTime t = TSec(28800);
+  const EventTime t_end = TSec(43200);
+  const std::vector<std::pair<const char*, std::function<Status()>>> queries =
+      {{"v2v_ea", [&] { return db_->EarliestArrival(5, 6, t).status(); }},
+       {"v2v_ld", [&] { return db_->LatestDeparture(5, 6, t_end).status(); }},
+       {"v2v_sd",
+        [&] { return db_->ShortestDuration(5, 6, t, t_end).status(); }},
+       {"ea_knn", [&] { return db_->EaKnn("t46", 5, t, 2).status(); }},
+       {"ld_knn", [&] { return db_->LdKnn("t46", 5, t_end, 2).status(); }},
+       {"ea_otm", [&] { return db_->EaOneToMany("t46", 5, t).status(); }},
+       {"ld_otm", [&] { return db_->LdOneToMany("t46", 5, t_end).status(); }}};
+  for (const auto& [name, run] : queries) {
+    ASSERT_TRUE(run().ok()) << name;  // Warm: no page misses below.
+  }
+  const QueryContext future = QueryContext::WithTimeout(std::chrono::hours(1));
+  const QueryContext expired =
+      QueryContext::WithDeadline(QueryContext::Clock::now());
+  for (uint32_t phase = 0; phase < kCheckpointStride; ++phase) {
+    for (const auto& [name, run] : queries) {
+      {
+        ScopedQueryContext earlier(&future);
+        for (uint32_t i = 0; i < phase; ++i) {
+          ASSERT_TRUE(CheckQueryCheckpoint().ok());
+        }
+      }
+      ScopedQueryContext scope(&expired);
+      EXPECT_EQ(run().code(), Status::Code::kDeadlineExceeded)
+          << name << " at stride phase " << phase;
+    }
+  }
+}
 
 TEST_F(PtldbExampleTest, V2vMatchesPaper) {
   // "the answer to the EA(1, 1, 324) query is 324".
@@ -169,12 +211,39 @@ TEST_F(PtldbExampleTest, LdQueriesOnExample) {
   for (size_t i = 0; i < otm->size(); ++i) EXPECT_EQ((*otm)[i], brute[i]);
 }
 
-// ---------- The Code 2 naive table is built on request ----------
+// ---------- The paper's kNN tables are built on request ----------
 
-// Registration builds only the four optimized tables. Until
-// AddNaiveKnnTable runs, the naive baselines fail with kNotFound naming
+// A registered set owns exactly two tables, the EA and LD bucket tables
+// every kNN and one-to-many query reads. AddPaperKnnTables adds the
+// paper's three kNN tables beside them.
+TEST(PtldbNaiveTableTest, RegistrationBuildsOnlyTheOtmTables) {
+  const Timetable tt = SmallCity(46);
+  const TtlIndex index = BuildIndex(tt);
+  auto db = BuildDb(index);
+  Rng rng(14);
+  ASSERT_TRUE(db->AddTargetSet("T", index,
+                               rng.SampleDistinct(tt.num_stops(), 6), 4)
+                  .ok());
+  const auto set_tables = [&] {
+    std::set<std::string> out;
+    for (const std::string& name : db->engine()->table_names()) {
+      if (name.size() > 2 && name.compare(name.size() - 2, 2, "_T") == 0) {
+        out.insert(name);
+      }
+    }
+    return out;
+  };
+  EXPECT_EQ(set_tables(), (std::set<std::string>{"otm_ea_T", "otm_ld_T"}));
+  ASSERT_TRUE(db->AddPaperKnnTables("T", index).ok());
+  EXPECT_EQ(set_tables(),
+            (std::set<std::string>{"otm_ea_T", "otm_ld_T", "knn_ea_T",
+                                   "knn_ld_T", "knn_naive_T"}));
+}
+
+// Registration builds only the two otm_* tables. Until
+// AddPaperKnnTables runs, the naive baselines fail with kNotFound naming
 // the call — never an OK empty answer.
-TEST(PtldbNaiveTableTest, NaiveKnnBeforeAddNaiveKnnTableIsNotFound) {
+TEST(PtldbNaiveTableTest, NaiveKnnBeforeAddPaperKnnTablesIsNotFound) {
   const Timetable tt = SmallCity(47);
   const TtlIndex index = BuildIndex(tt);
   auto db = BuildDb(index);
@@ -187,11 +256,11 @@ TEST(PtldbNaiveTableTest, NaiveKnnBeforeAddNaiveKnnTableIsNotFound) {
                         db->LdKnnNaive("T", 0, tt.max_time(), 2)}) {
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), Status::Code::kNotFound);
-    EXPECT_NE(r.status().message().find("AddNaiveKnnTable"),
+    EXPECT_NE(r.status().message().find("AddPaperKnnTables"),
               std::string::npos)
         << r.status().ToString();
   }
-  ASSERT_TRUE(db->AddNaiveKnnTable("T", index).ok());
+  ASSERT_TRUE(db->AddPaperKnnTables("T", index).ok());
   EXPECT_NE(db->engine()->FindTable(NaiveKnnTableName("T")), nullptr);
   EXPECT_TRUE(db->EaKnnNaive("T", 0, tt.min_time(), 2).ok());
   EXPECT_TRUE(db->LdKnnNaive("T", 0, tt.max_time(), 2).ok());
@@ -205,13 +274,13 @@ TEST(PtldbNaiveTableTest, RejectsUnknownSetAndSecondBuild) {
   ASSERT_TRUE(db->AddTargetSet("T", index,
                                rng.SampleDistinct(tt.num_stops(), 6), 4)
                   .ok());
-  EXPECT_EQ(db->AddNaiveKnnTable("nope", index).code(),
+  EXPECT_EQ(db->AddPaperKnnTables("nope", index).code(),
             Status::Code::kNotFound);
   const uint64_t before = db->size_bytes();
-  ASSERT_TRUE(db->AddNaiveKnnTable("T", index).ok());
+  ASSERT_TRUE(db->AddPaperKnnTables("T", index).ok());
   const uint64_t with_naive = db->size_bytes();
   EXPECT_GT(with_naive, before);
-  EXPECT_EQ(db->AddNaiveKnnTable("T", index).code(),
+  EXPECT_EQ(db->AddPaperKnnTables("T", index).code(),
             Status::Code::kInvalidArgument);
   EXPECT_EQ(db->size_bytes(), with_naive);
 }
@@ -245,7 +314,7 @@ TEST_P(PtldbSweepTest, AllQueriesMatchGroundTruth) {
       2, static_cast<uint32_t>(param.density * tt.num_stops()));
   std::vector<StopId> targets = rng.SampleDistinct(tt.num_stops(), num_targets);
   ASSERT_TRUE(db->AddTargetSet("T", index, targets, param.kmax).ok());
-  ASSERT_TRUE(db->AddNaiveKnnTable("T", index).ok());
+  ASSERT_TRUE(db->AddPaperKnnTables("T", index).ok());
 
   const EventTime lo = tt.min_time();
   const EventTime hi = tt.max_time();
@@ -583,7 +652,7 @@ TEST(PtldbEdgeTest, KnnWithKLargerThanTargetSet) {
   Rng rng(12);
   const std::vector<StopId> targets = rng.SampleDistinct(tt.num_stops(), 5);
   ASSERT_TRUE(db->AddTargetSet("T", index, targets, 8).ok());
-  ASSERT_TRUE(db->AddNaiveKnnTable("T", index).ok());
+  ASSERT_TRUE(db->AddPaperKnnTables("T", index).ok());
   for (int trial = 0; trial < 20; ++trial) {
     const StopId q = static_cast<StopId>(rng.NextBelow(tt.num_stops()));
     const auto t = TSec(rng.NextInRange(tt.min_time().raw_seconds(),
@@ -644,7 +713,7 @@ TEST(PtldbEdgeTest, QueryStopInsideTargetSet) {
   Rng rng(14);
   const std::vector<StopId> targets = rng.SampleDistinct(tt.num_stops(), 8);
   ASSERT_TRUE(db->AddTargetSet("T", index, targets, 4).ok());
-  ASSERT_TRUE(db->AddNaiveKnnTable("T", index).ok());
+  ASSERT_TRUE(db->AddPaperKnnTables("T", index).ok());
   for (const StopId q : targets) {
     for (int trial = 0; trial < 5; ++trial) {
       const auto t = TSec(rng.NextInRange(tt.min_time().raw_seconds(),

@@ -243,7 +243,7 @@ class SqlPaperQueriesTest : public testing::Test {
     Rng rng(9);
     targets_ = rng.SampleDistinct(tt_.num_stops(), 10);
     EXPECT_TRUE(db_->AddTargetSet("poi", index_, targets_, 4).ok());
-    EXPECT_TRUE(db_->AddNaiveKnnTable("poi", index_).ok());
+    EXPECT_TRUE(db_->AddPaperKnnTables("poi", index_).ok());
   }
 
   int64_t ScalarOrDefault(const SqlRelation& relation, int64_t fallback) {
@@ -450,7 +450,7 @@ class SqlExampleGoldenTest : public testing::Test {
     db_ = std::move(PtldbDatabase::Build(index_, popts)).value();
     targets_ = {3, 6};
     EXPECT_TRUE(db_->AddTargetSet("poi", index_, targets_, kKmax).ok());
-    EXPECT_TRUE(db_->AddNaiveKnnTable("poi", index_).ok());
+    EXPECT_TRUE(db_->AddPaperKnnTables("poi", index_).ok());
   }
 
   int64_t Scalar(const SqlRelation& relation, int64_t fallback) {
@@ -699,6 +699,7 @@ TEST_F(SqlExampleGoldenTest, ExplainAnalyzeCountersMatchEngineGroundTruth) {
   auto db = PtldbDatabase::Build(index_, options);
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE((*db)->AddTargetSet("poi", index_, targets_, kKmax).ok());
+  ASSERT_TRUE((*db)->AddPaperKnnTables("poi", index_).ok());
   ASSERT_TRUE((*db)->DropCaches().ok());
   (*db)->ResetIoStats();
   SqlInterpreter interpreter((*db)->engine());
@@ -831,7 +832,9 @@ TEST_F(SqlExampleGoldenTest, SetScansProbeOncePerHub) {
 // departing exactly on an edge. For LD, a bucket departure in
 // [32400, 37000) at hub 5 is boardable by the first and last tuple but not
 // the middle one, so a binary search over ta would answer 28800 where
-// Code 4 answers 30000.
+// Code 4 answers 30000. Targets 2 and 4 share the hub-7 tuple
+// (34000, 35000), so their times tie at the k-th entry: in the condensed
+// lists and in the answers (see TieAtTheKthEntryMatchesLiteralSql).
 class SqlNonMonotoneLabelTest : public testing::Test {
  protected:
   static constexpr uint32_t kStops = 8;
@@ -861,15 +864,18 @@ class SqlNonMonotoneLabelTest : public testing::Test {
     add(&index_.in, 3, 5, 30500, 40000);
     add(&index_.in, 3, 6, 27500, 29000);
     add(&index_.in, 3, 6, 30000, 31000);
+    add(&index_.in, 3, 7, 33000, 34500);
     add(&index_.in, 3, 7, 39600, 41000);
     add(&index_.in, 4, 5, 35000, 36500);
     add(&index_.in, 4, 7, 31500, 36000);
+    add(&index_.in, 4, 7, 34000, 35000);
     index_.out.SortTuples();
     index_.in.SortTuples();
     PtldbOptions options;
     options.device = DeviceProfile::Ram();
     db_ = std::move(PtldbDatabase::Build(index_, options)).value();
     EXPECT_TRUE(db_->AddTargetSet("poi", index_, {1, 2, 3, 4}, kKmax).ok());
+    EXPECT_TRUE(db_->AddPaperKnnTables("poi", index_).ok());
   }
 
   TtlIndex index_;
@@ -905,6 +911,59 @@ TEST_F(SqlNonMonotoneLabelTest, SetQueriesMatchLiteralSql) {
   EXPECT_NE(std::find(ld->begin(), ld->end(),
                       StopTimeResult{1, TSec(30000)}),
             ld->end());
+}
+
+// kNN reads the first k condensed entries of the otm_* row, which must be
+// the paper's knn_* row even where entries k and k + 1 tie on time: both
+// lists break ties by stop id. The answers tie at the k-th entry too, and
+// the compiled scans over otm_* match the literal Code 3/4 SQL over the
+// on-request knn_* tables.
+TEST_F(SqlNonMonotoneLabelTest, TieAtTheKthEntryMatchesLiteralSql) {
+  BufferPool* pool = db_->engine()->buffer_pool();
+  const auto row = [&](const char* table, int32_t hour) {
+    auto r = db_->engine()->FindTable(table)->Get(MakeCompositeKey(7, hour),
+                                                  pool);
+    EXPECT_TRUE(r.ok() && r->has_value()) << table;
+    return r.ok() && r->has_value() ? **r : Row{};
+  };
+  // EA (hub 7, dephour 8): (34500, 3), then 2 and 4 tie at 35000.
+  const Row otm_ea = row("otm_ea_poi", 8);
+  const Row knn_ea = row("knn_ea_poi", 8);
+  ASSERT_EQ(otm_ea.size(), 7u);
+  ASSERT_EQ(knn_ea.size(), 7u);
+  EXPECT_EQ(otm_ea[2].AsArray(), (std::vector<int32_t>{3, 2, 4}));
+  EXPECT_EQ(otm_ea[3].AsArray(), (std::vector<int32_t>{34500, 35000, 35000}));
+  EXPECT_EQ(knn_ea[2].AsArray(), (std::vector<int32_t>{3, 2}));
+  EXPECT_EQ(knn_ea[3].AsArray(), (std::vector<int32_t>{34500, 35000}));
+  // LD (hub 7, arrhour 10): 2 and 4 tie at td 34000, then (33000, 3).
+  const Row otm_ld = row("otm_ld_poi", 10);
+  const Row knn_ld = row("knn_ld_poi", 10);
+  ASSERT_EQ(otm_ld.size(), 7u);
+  ASSERT_EQ(knn_ld.size(), 7u);
+  EXPECT_EQ(otm_ld[2].AsArray(), (std::vector<int32_t>{2, 4, 3}));
+  EXPECT_EQ(otm_ld[3].AsArray(), (std::vector<int32_t>{34000, 34000, 33000}));
+  EXPECT_EQ(knn_ld[2].AsArray(), (std::vector<int32_t>{2, 4}));
+  EXPECT_EQ(knn_ld[3].AsArray(), (std::vector<int32_t>{34000, 34000}));
+  // Both rows keep the same expanded columns.
+  for (size_t c = 4; c < 7; ++c) {
+    EXPECT_EQ(otm_ea[c], knn_ea[c]) << "EA column " << c;
+    EXPECT_EQ(otm_ld[c], knn_ld[c]) << "LD column " << c;
+  }
+
+  SqlOracle sql(db_.get());
+  const std::vector<StopTimeResult> ea_tie = {{2, TSec(35000)}};
+  const std::vector<StopTimeResult> ld_tie = {{2, TSec(33000)}};
+  EXPECT_EQ(*db_->EaKnn("poi", 0, TSec(33000), 1), ea_tie);
+  EXPECT_EQ(*db_->LdKnn("poi", 0, TSec(36000), 1), ld_tie);
+  for (const int64_t raw : {28800, 33000, 36000}) {
+    const EventTime t = TSec(raw);
+    for (uint32_t k = 1; k <= kKmax; ++k) {
+      EXPECT_EQ(*db_->EaKnn("poi", 0, t, k), *sql.EaKnn("poi", 0, t, k))
+          << "EA-kNN t=" << raw << " k=" << k;
+      EXPECT_EQ(*db_->LdKnn("poi", 0, t, k), *sql.LdKnn("poi", 0, t, k))
+          << "LD-kNN t=" << raw << " k=" << k;
+    }
+  }
 }
 
 TEST_F(SqlNonMonotoneLabelTest, SetScansProbeOncePerHub) {

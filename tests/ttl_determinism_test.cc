@@ -11,8 +11,10 @@
 #include <vector>
 
 #include <algorithm>
+#include <limits>
 
 #include "common/checksum.h"
+#include "common/rng.h"
 #include "ptldb/ptldb.h"
 #include "timetable/example_graph.h"
 #include "timetable/generator.h"
@@ -283,6 +285,7 @@ TEST(TtlDeterminismTest, ExecutorChoiceDoesNotChangeAnswers) {
   ASSERT_TRUE(built.ok());
   PtldbDatabase* db = built->get();
   ASSERT_TRUE(db->AddTargetSet("t", *index, targets, 4).ok());
+  ASSERT_TRUE(db->AddPaperKnnTables("t", *index).ok());
   SqlOracle sql(db);
   const EventTime t_end = tt.max_time();
   for (StopId s = 0; s < tt.num_stops(); ++s) {
@@ -338,6 +341,105 @@ TEST(TtlDeterminismTest, HardwareThreadCountProducesSameIndex) {
   const std::string bytes = SerializedBytes(*index, "hw");
   EXPECT_EQ(bytes.size(), 888u);
   EXPECT_EQ(Crc32c(bytes.data(), bytes.size()), 0x84cf3d08u);
+}
+
+// CRC-32C of a table's rows in key order: each row's primary key, then
+// every decoded column (an int32, or an array's length and elements), all
+// little-endian. Pins the stored content, not the page layout.
+struct TableDigest {
+  std::string table;
+  uint64_t rows = 0;
+  uint32_t crc = 0;
+};
+
+TableDigest DigestTable(PtldbDatabase* db, const std::string& name) {
+  TableDigest digest{name};
+  const EngineTable* table = db->engine()->FindTable(name);
+  EXPECT_NE(table, nullptr) << name << " is not built";
+  if (table == nullptr) return digest;
+  std::string bytes;
+  const auto put = [&bytes](uint64_t x, int width) {
+    for (int i = 0; i < width; ++i) {
+      bytes.push_back(static_cast<char>(x >> (8 * i)));
+    }
+  };
+  auto cursor = table->Seek(std::numeric_limits<IndexKey>::min(),
+                            db->engine()->buffer_pool());
+  for (; cursor.Valid(); cursor.Next()) {
+    const auto row = cursor.row();
+    EXPECT_TRUE(row.ok()) << name;
+    if (!row.ok()) return digest;
+    put(static_cast<uint64_t>(cursor.key()), 8);
+    for (const Value& value : *row) {
+      if (value.type() == ColumnType::kInt32) {
+        put(static_cast<uint32_t>(value.AsInt()), 4);
+        continue;
+      }
+      put(value.AsArray().size(), 4);
+      for (const int32_t x : value.AsArray()) put(static_cast<uint32_t>(x), 4);
+    }
+    ++digest.rows;
+  }
+  EXPECT_TRUE(cursor.status().ok()) << name;
+  digest.crc = Crc32c(bytes.data(), bytes.size());
+  return digest;
+}
+
+// Every derived table of a target set — the two otm_* tables AddTargetSet
+// builds and the three the paper's literal SQL reads, built on request —
+// pinned row for row on two fixed sets, at 1 and 4 build threads. The
+// goldens were captured from the builder that emitted all four bucket
+// tables in one pass, so a rewrite of the write path must reproduce its
+// tables exactly.
+TEST(DerivedTableGoldenTest, SetTablesMatchGoldens) {
+  struct Case {
+    const char* what;
+    TtlIndex index;
+    std::vector<StopId> targets;
+    uint32_t kmax;
+    std::vector<TableDigest> goldens;
+  };
+  std::vector<Case> cases;
+  {
+    TtlBuildOptions options;
+    options.custom_order = ExampleVertexOrder();
+    auto index = BuildTtlIndex(MakeExampleTimetable(), options);
+    ASSERT_TRUE(index.ok());
+    cases.push_back({"figure 1", std::move(index).value(), {3, 4, 6}, 1,
+                     {{"otm_ea_g", 20, 0x12104acc},
+                      {"otm_ld_g", 8, 0x851ddcd7},
+                      {"knn_ea_g", 20, 0x1557fa78},
+                      {"knn_ld_g", 8, 0x2910b55d},
+                      {"knn_naive_g", 5, 0xb25a03d2}}});
+  }
+  {
+    auto index = BuildTtlIndex(MediumCity(7));
+    ASSERT_TRUE(index.ok());
+    cases.push_back({"generated seed 7", std::move(index).value(),
+                     Rng(9).SampleDistinct(80, 12), 4,
+                     {{"otm_ea_g", 715, 0x215a226c},
+                      {"otm_ld_g", 757, 0x8bcd5860},
+                      {"knn_ea_g", 715, 0x0ac62c41},
+                      {"knn_ld_g", 757, 0x022dee93},
+                      {"knn_naive_g", 1678, 0x64dbb679}}});
+  }
+  for (const Case& c : cases) {
+    for (const uint32_t threads : {1u, 4u}) {
+      PtldbOptions options;
+      options.device = DeviceProfile::Ram();
+      options.num_threads = threads;
+      auto db = PtldbDatabase::Build(c.index, options);
+      ASSERT_TRUE(db.ok());
+      ASSERT_TRUE((*db)->AddTargetSet("g", c.index, c.targets, c.kmax).ok());
+      ASSERT_TRUE((*db)->AddPaperKnnTables("g", c.index).ok());
+      for (const TableDigest& golden : c.goldens) {
+        const TableDigest got = DigestTable(db->get(), golden.table);
+        EXPECT_TRUE(got.rows == golden.rows && got.crc == golden.crc)
+            << c.what << ", " << threads << " threads: {\"" << golden.table
+            << "\", " << got.rows << ", 0x" << std::hex << got.crc << "}";
+      }
+    }
+  }
 }
 
 }  // namespace
